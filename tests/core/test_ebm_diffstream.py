@@ -1,10 +1,14 @@
 """EBM construction and edge-difference-stream invariants."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Graphsurge
 from repro.core.diff_stream import (
     accumulate_view,
     compute_diff_stream,
@@ -16,6 +20,9 @@ from repro.core.ebm import (
     build_ebm,
     build_ebm_from_memberships,
 )
+from repro.core.view_collection import ViewCollectionDefinition
+from repro.datasets import community_graph
+from repro.datasets.community import community_sizes
 from repro.gvdl.parser import parse
 
 bool_matrices = st.integers(1, 8).flatmap(
@@ -125,3 +132,101 @@ class TestDiffStream:
         edge = (0, 0, 1, 1)
         with pytest.raises(ValueError, match="corrupt"):
             accumulate_view([{edge: 1}, {edge: 1}], 1)
+
+
+# ---------------------------------------------------------------------------
+# Pinned materialization outputs
+# ---------------------------------------------------------------------------
+
+CALLS_GVDL = (
+    "create view collection pin on Calls "
+    "[y15: year <= 2015], [long: duration > 10], [la: src.city = 'LA'], "
+    "[y18: year <= 2018 and dst.city = 'NY'], [all: true]")
+
+# (edge count, digest of ebm.edges, digest of ebm.matrix) from build_ebm,
+# then (ordering.order, total diffs, digest of the diff dicts with their
+# key order) from materializing under each ordering method (seed 0).
+PINS = {
+    "calls": {
+        "ebm": (15, "ef49570d9449777d", "f128c42589b1d21f"),
+        "identity": (None, 47, "fc0430001da016aa"),
+        "christofides": ([3, 1, 4, 2, 0], 27, "e360ecc9f84cd2ed"),
+        "random": ([2, 1, 0, 4, 3], 55, "82359d456a9d0c61"),
+    },
+    "community": {
+        "ebm": (160, "1b3f16004139cfd5", "209cdcf509fb7704"),
+        "identity": (None, 679, "3b385b116ca3e9b9"),
+        "christofides": ([0, 3, 2, 1, 14, 13, 10, 11, 12, 15, 19, 17, 16,
+                          18, 4, 6, 5, 9, 7, 8], 505, "4709b05b299828e4"),
+        "random": ([10, 18, 16, 14, 0, 17, 11, 2, 3, 9, 5, 7, 4, 19, 6, 15,
+                    8, 1, 13, 12], 1327, "4671a59cc9507277"),
+    },
+}
+METHODS = ("identity", "christofides", "random")
+
+
+def _digest(value) -> str:
+    """Short SHA-256 of ``repr(value)``: sensitive to order and values."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _perturbation_gvdl(graph) -> str:
+    """Drop every 3-combination of the 6 largest communities (§7.4)."""
+    top = [comm for comm, _size in community_sizes(graph)[:6]]
+    views = []
+    for combo in itertools.combinations(top, 3):
+        terms = " or ".join(f"src.c{c} = true or dst.c{c} = true"
+                            for c in combo)
+        views.append(f"[drop-{'-'.join(map(str, combo))}: not ({terms})]")
+    return f"create view collection pin on {graph.name} " + ", ".join(views)
+
+
+def _collection_pin(collection):
+    order = collection.ordering.order if collection.ordering else None
+    if collection.ordering is not None:
+        assert collection.ordering.diff_count == collection.total_diffs
+    return (order, collection.total_diffs,
+            _digest([list(diff.items()) for diff in collection.diffs]))
+
+
+@pytest.fixture(params=sorted(PINS))
+def pinned(request):
+    """(graph, GVDL text, expected pins) for each pinned input."""
+    if request.param == "calls":
+        graph, text = request.getfixturevalue("call_graph"), CALLS_GVDL
+    else:
+        graph = community_graph(num_nodes=40, intra_edges=128,
+                                background_edges=32, seed=5, name="lj")
+        text = _perturbation_gvdl(graph)
+    return graph, text, PINS[request.param]
+
+
+class TestMaterializationPins:
+    """Byte-level pins on EBM rows, diff dicts and orderings."""
+
+    def test_ebm_rows(self, pinned):
+        graph, text, pins = pinned
+        statement = parse(text)
+        ebm = build_ebm(graph, [name for name, _ in statement.views],
+                        [pred for _, pred in statement.views])
+        assert (ebm.num_edges, _digest(ebm.edges),
+                _digest(ebm.matrix.tolist())) == pins["ebm"]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_materialize(self, pinned, method):
+        graph, text, pins = pinned
+        statement = parse(text)
+        definition = ViewCollectionDefinition(
+            statement.name, statement.source, statement.views)
+        collection = definition.materialize(graph, order_method=method)
+        assert _collection_pin(collection) == pins[method]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_through_graphsurge(self, pinned, method, workers):
+        graph, text, pins = pinned
+        gs = Graphsurge(workers=workers, order_collections=method)
+        gs.add_graph(graph)
+        gs.execute(text)
+        assert _collection_pin(gs.views.get_collection("pin")) == \
+            pins[method]
