@@ -6,7 +6,7 @@ FUZZ_SEED ?= 7
 FUZZ_ITERATIONS ?= 25
 
 .PHONY: test analyze fuzz fuzz-soak bench bench-parallel serve-smoke \
-	stream-smoke pack-smoke sanitize-smoke lint-src
+	stream-smoke pack-smoke sanitize-smoke lint-src perfbench-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -85,3 +85,11 @@ lint-src:
 # killed mid-way resumes byte-identically. See docs/streaming.md.
 stream-smoke:
 	$(PYTHON) -m repro.stream.smoke
+
+# Self-tests of the end-to-end benchmark on its quick inputs (the CI
+# perfbench-smoke job). The tier-1 suite only collects tests/, while
+# perfbench wraps view-collection materialization and its steps by
+# attribute, so a signature change there would otherwise fail nothing.
+# See perfbench/README.md.
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench/test_perfbench.py

@@ -125,26 +125,3 @@ def print_table(rows: Iterable[ExperimentResult],
     for line in table:
         print(render(line))
 
-
-def speedup_summary(results: Dict[ExecutionMode, CollectionRunResult],
-                    metric: str = "work") -> Dict[str, float]:
-    """Pairwise factors between modes (e.g. scratch/diff) on a metric."""
-    def value(mode: ExecutionMode) -> float:
-        result = results.get(mode)
-        if result is None:
-            return float("nan")
-        if metric == "work":
-            return float(max(1, result.total_work))
-        if metric == "wall":
-            return max(1e-9, result.total_wall_seconds)
-        return float(max(1, result.total_parallel_time))
-
-    out: Dict[str, float] = {}
-    if ExecutionMode.DIFF_ONLY in results and ExecutionMode.SCRATCH in results:
-        out["scratch/diff"] = value(ExecutionMode.SCRATCH) / \
-            value(ExecutionMode.DIFF_ONLY)
-    if ExecutionMode.ADAPTIVE in results:
-        best = min(value(m) for m in results if m is not ExecutionMode.ADAPTIVE) \
-            if len(results) > 1 else float("nan")
-        out["best/adaptive"] = best / value(ExecutionMode.ADAPTIVE)
-    return out

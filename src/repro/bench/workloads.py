@@ -221,7 +221,6 @@ def caut_collection(graph: PropertyGraph,
 
 def perturbation_collection(graph: PropertyGraph, top_n: int, k: int,
                             order_method: str = "identity", seed: int = 0,
-                            workers: int = 1,
                             name: Optional[str] = None
                             ) -> MaterializedCollection:
     """§7.4 C_{N,k}: one view per k-combination of the N largest
@@ -231,8 +230,8 @@ def perturbation_collection(graph: PropertyGraph, top_n: int, k: int,
     views = perturbation_views(graph, top_n, k)
     definition = ViewCollectionDefinition(
         name or f"{graph.name}-{top_n}C{k}", graph.name, tuple(views))
-    return definition.materialize(
-        graph, order_method=order_method, seed=seed, workers=workers)
+    return definition.materialize(graph, order_method=order_method,
+                                  seed=seed)
 
 
 # ---------------------------------------------------------------------------

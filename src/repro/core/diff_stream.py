@@ -8,24 +8,21 @@ where it leaves, and 0 where consecutive views agree.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.core.ebm import EdgeBooleanMatrix, EdgeKey
-from repro.timely.meter import WorkMeter
 
 EdgeDiff = Dict[EdgeKey, int]
 
 
-def compute_diff_stream(ebm: EdgeBooleanMatrix,
-                        meter: Optional[WorkMeter] = None) -> List[EdgeDiff]:
+def compute_diff_stream(ebm: EdgeBooleanMatrix) -> List[EdgeDiff]:
     """Materialize the per-view edge difference sets.
 
     Per-edge independent (embarrassingly parallel): row ``(1,1,0,1)`` yields
     ``+1`` at view 0, ``-1`` at view 2, ``+1`` at view 3.
     """
-    meter = meter or WorkMeter()
     matrix = ebm.matrix.astype(np.int8)
     # transitions[:, 0] is the first view itself; afterwards the delta
     # between consecutive columns.
@@ -35,12 +32,10 @@ def compute_diff_stream(ebm: EdgeBooleanMatrix,
         transitions[:, 1:] = matrix[:, 1:] - matrix[:, :-1]
     diffs: List[EdgeDiff] = [dict() for _ in range(ebm.num_views)]
     rows, cols = np.nonzero(transitions)
-    meter.begin_step()
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        edge = ebm.edges[row]
-        diffs[col][edge] = int(transitions[row, col])
-        meter.record(edge[1])
-    meter.end_step()
+    signs = transitions[rows, cols].tolist()
+    edges = ebm.edges
+    for row, col, sign in zip(rows.tolist(), cols.tolist(), signs):
+        diffs[col][edges[row]] = sign
     return diffs
 
 

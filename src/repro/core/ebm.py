@@ -2,8 +2,8 @@
 
 For each edge ``e_i`` of the base graph and each view ``GV_j`` of the
 collection, the EBM records whether ``e_i`` satisfies the view's predicate
-(paper §3.2, Figure 5a). The computation is embarrassingly parallel over
-edges; we shard it over the simulated workers and meter the work.
+(paper §3.2, Figure 5a). Every row depends on one edge alone, so the
+matrix is filled by one sweep over the edges.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from repro.gvdl.ast import Predicate
 from repro.gvdl.predicate import compile_predicate
 from repro.graph.property_graph import PropertyGraph
-from repro.timely.meter import WorkMeter
 
 EdgeKey = Tuple[int, int, int, int]  # (edge_id, src, dst, weight)
 
@@ -59,55 +58,34 @@ class EdgeBooleanMatrix:
 
 def build_ebm(graph: PropertyGraph, view_names: Sequence[str],
               predicates: Sequence[Predicate],
-              weight_property: Optional[str] = None,
-              meter: Optional[WorkMeter] = None,
-              workers: int = 1) -> EdgeBooleanMatrix:
+              weight_property: Optional[str] = None) -> EdgeBooleanMatrix:
     """Evaluate every view predicate on every edge of the base graph.
 
-    Runs as a timely batch dataflow (paper §3.2 step 1: "an embarrassingly
-    parallelizable computation ... performed by a TD dataflow"): edges are
-    sharded across workers, each worker evaluates every predicate on its
-    shard.
+    Rows follow ``graph.edges``, which :class:`PropertyGraph` keeps in
+    edge-id order.
     """
-    from repro.timely.dataflow import TimelyDataflow
-
     if len(view_names) != len(predicates):
         raise ValueError("one predicate per view is required")
     evaluators: List[Callable] = [
         compile_predicate(p, graph.edge_schema, graph.node_schema)
         for p in predicates
     ]
-    meter = meter or WorkMeter(workers)
-
-    def edge_record(edge):
+    nodes = graph.nodes
+    edges: List[EdgeKey] = []
+    rows: List[List[bool]] = []
+    for edge in graph.edges:
+        eprops = edge.properties
         if weight_property is not None:
-            weight = int(edge.properties.get(weight_property, 1))
+            weight = int(eprops.get(weight_property, 1))
         else:
             weight = 1
-        return (edge.id, edge.src, edge.dst, weight, edge.properties,
-                graph.nodes[edge.src].properties,
-                graph.nodes[edge.dst].properties)
-
-    def evaluate_row(record):
-        edge_id, src, dst, weight, eprops, sprops, dprops = record
-        flags = tuple(evaluate(eprops, sprops, dprops)
-                      for evaluate in evaluators)
-        return (edge_id, src, dst, weight, flags)
-
-    td = TimelyDataflow(workers=workers, meter=meter)
-    stream = td.input("edges")
-    results = stream.exchange(lambda rec: rec[1], name="ebm.shard").map(
-        evaluate_row, name="ebm.evaluate")
-    capture = results.capture("ebm.rows")
-    td.run({"edges": [edge_record(edge) for edge in graph.edges]})
-
-    edges: List[EdgeKey] = []
-    rows = np.zeros((graph.num_edges, len(predicates)), dtype=bool)
-    for row, (edge_id, src, dst, weight, flags) in enumerate(
-            sorted(capture.records)):
-        edges.append((edge_id, src, dst, weight))
-        rows[row] = flags
-    return EdgeBooleanMatrix(edges, view_names, rows)
+        edges.append((edge.id, edge.src, edge.dst, weight))
+        sprops = nodes[edge.src].properties
+        dprops = nodes[edge.dst].properties
+        rows.append([evaluate(eprops, sprops, dprops)
+                     for evaluate in evaluators])
+    matrix = np.array(rows, dtype=bool).reshape(len(edges), len(evaluators))
+    return EdgeBooleanMatrix(edges, view_names, matrix)
 
 
 def build_ebm_from_memberships(edges: Sequence[EdgeKey],

@@ -1,16 +1,16 @@
 """The Collection Ordering Optimizer (paper Algorithm 1).
 
 Given an edge boolean matrix, find a view order with small total difference
-count: pad a zero column, compute the Hamming-distance clique sharded over
-workers, solve TSP with Christofides, rotate the tour to start at the
-padded column, and read the view order off the tour.
+count: pad a zero column, compute the Hamming-distance clique, solve TSP
+with Christofides, rotate the tour to start at the padded column, and read
+the view order off the tour.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.core.ordering.problem import (
     random_order,
 )
 from repro.errors import OrderingError
-from repro.timely.meter import WorkMeter
 
 
 @dataclass
@@ -41,9 +40,8 @@ class OrderingResult:
         return self.identity_diff_count / self.diff_count
 
 
-def _order_by_tour(matrix: np.ndarray, workers: int,
-                   meter: Optional[WorkMeter]) -> List[int]:
-    distances = hamming_distance_matrix(matrix, workers=workers, meter=meter)
+def _order_by_tour(matrix: np.ndarray) -> List[int]:
+    distances = hamming_distance_matrix(matrix)
     tour = christofides_tour(distances)
     zero_pos = tour.index(0)
     rotated = tour[zero_pos:] + tour[:zero_pos]
@@ -57,10 +55,9 @@ def _order_by_tour(matrix: np.ndarray, workers: int,
     return order
 
 
-def _order_greedy(matrix: np.ndarray, workers: int,
-                  meter: Optional[WorkMeter]) -> List[int]:
+def _order_greedy(matrix: np.ndarray) -> List[int]:
     """Nearest-neighbour baseline from the padded zero column."""
-    distances = hamming_distance_matrix(matrix, workers=workers, meter=meter)
+    distances = hamming_distance_matrix(matrix)
     k = matrix.shape[1]
     unvisited = set(range(1, k + 1))
     current = 0
@@ -74,8 +71,7 @@ def _order_greedy(matrix: np.ndarray, workers: int,
 
 
 def order_collection(matrix: np.ndarray, method: str = "christofides",
-                     workers: int = 1, seed: int = 0,
-                     meter: Optional[WorkMeter] = None) -> OrderingResult:
+                     seed: int = 0) -> OrderingResult:
     """Choose a view order for an EBM.
 
     ``method``:
@@ -92,9 +88,9 @@ def order_collection(matrix: np.ndarray, method: str = "christofides",
     k = matrix.shape[1]
     started = time.perf_counter()
     if method == "christofides":
-        order = _order_by_tour(matrix, workers, meter)
+        order = _order_by_tour(matrix)
     elif method == "greedy":
-        order = _order_greedy(matrix, workers, meter)
+        order = _order_greedy(matrix)
     elif method == "exact":
         order = exact_best_order(matrix)
     elif method == "identity":

@@ -153,7 +153,6 @@ class Graphsurge:
         collection = definition.materialize(
             base,
             order_method=self.order_collections,
-            workers=self.workers,
             weight_property=self.weight_property,
         )
         self.views.add_collection(statement.name, collection)

@@ -383,7 +383,3 @@ class TimeSchedule:
     def has_pending(self) -> bool:
         return bool(self._agenda)
 
-
-def consolidate_diff(diff: Diff) -> Diff:
-    """Re-export used by operator modules."""
-    return consolidate(diff)

@@ -271,13 +271,11 @@ class ProcessCluster:
             self._send(worker, ("update", op_index, (tag, time, sub)))
 
     def run_tasks(self, op_index: int, header: Any,
-                  items: Iterable[Tuple[Any, Any]],
-                  route: Optional[Callable[[Any], int]] = None,
-                  ) -> Dict[Any, Any]:
+                  items: Iterable[Tuple[Any, Any]]) -> Dict[Any, Any]:
         """Fan a keyed task batch out to its owners; merge the replies.
 
-        ``items`` is an ordered ``[(key, payload)]`` sequence; each key is
-        routed via ``route`` (default: ``shard_for``). Returns the union of
+        ``items`` is an ordered ``[(key, payload)]`` sequence; each key goes
+        to the worker ``shard_for`` assigns it. Returns the union of
         the per-worker ``{key: (events, result)}`` replies. On error, every
         outstanding reply is drained first and the first failure (in
         worker-index order) is raised, so the exchange channels stay
@@ -285,9 +283,8 @@ class ProcessCluster:
         """
         batches: Dict[int, List[Tuple[Any, Any]]] = {}
         for key, payload in items:
-            worker = route(key) if route is not None else shard_for(
-                key, self.workers)
-            batches.setdefault(worker, []).append((key, payload))
+            batches.setdefault(shard_for(key, self.workers), []).append(
+                (key, payload))
         for worker in sorted(batches):
             self._send(worker, ("task", op_index, (header, batches[worker])))
         merged: Dict[Any, Any] = {}

@@ -1,17 +1,15 @@
 """The process backend's exchange machinery (`repro.timely.cluster`).
 
 Covers backend validation, cluster lifecycle, FIFO update-before-task
-ordering, error propagation, liveness under worker death (the
+ordering, error propagation, and liveness under worker death (the
 coordinator must raise a typed ``WorkerFailedError`` naming the worker
-and superstep instead of hanging), and inline/process equality at the
-timely layer.
+and superstep instead of hanging).
 """
 
 import pytest
 
 from repro.errors import ConfigError, WorkerFailedError
 from repro.timely.cluster import BACKENDS, ProcessCluster, validate_backend
-from repro.timely.dataflow import TimelyDataflow
 
 
 class EchoOp:
@@ -92,22 +90,6 @@ class TestClusterExchange:
         finally:
             cluster.close()
 
-    def test_identity_routing(self):
-        cluster = make_cluster(workers=3)
-        try:
-            cluster.post_updates(0, "set", (0,), {w: w * 100
-                                                  for w in range(3)})
-            replies = cluster.run_tasks(0, "h", [(w, None)
-                                                 for w in range(3)],
-                                        route=lambda worker: worker)
-            # Each worker only holds the keys shard_for routed to it, so
-            # an identity-routed probe of key w must find w*100 only if
-            # shard_for(w) == w was also the update's route... instead
-            # verify the reply set covers every key exactly once.
-            assert set(replies) == {0, 1, 2}
-        finally:
-            cluster.close()
-
     def test_stats_sum_over_workers(self):
         cluster = make_cluster(workers=2)
         try:
@@ -173,9 +155,9 @@ class TestWorkerDeath:
             victim = 1
             cluster._procs[victim].kill()
             cluster._procs[victim].join(timeout=10.0)
+            # Eight keys hash onto both workers, the victim included.
             with pytest.raises(WorkerFailedError) as excinfo:
-                cluster.run_tasks(0, "hdr", [(0, None), (1, None)],
-                                  route=lambda worker: worker)
+                cluster.run_tasks(0, "hdr", [(key, None) for key in range(8)])
             assert excinfo.value.worker == victim
             assert excinfo.value.superstep == 7
             assert excinfo.value.code == "worker-failed"
@@ -199,34 +181,6 @@ class TestWorkerDeath:
                                  task_timeout=1.0)
         try:
             with pytest.raises(WorkerFailedError, match="no reply"):
-                cluster.run_tasks(0, None, [(0, None)],
-                                  route=lambda worker: worker)
+                cluster.run_tasks(0, None, [(0, None)])
         finally:
             cluster.close(timeout=1.0)
-
-
-class TestTimelyBackendEquality:
-    @staticmethod
-    def build_and_run(backend):
-        td = TimelyDataflow(workers=4, backend=backend)
-        data = td.input("in")
-        mapped = data.map(lambda x: (x % 11, x))
-        grouped = mapped.aggregate(
-            lambda rec: rec[0], lambda recs: sum(v for _k, v in recs))
-        other = td.input("other").filter(lambda rec: rec[1] % 2 == 0)
-        out = grouped.join(other, lambda k, a, b: (k, a + b)).capture()
-        td.run({"in": list(range(200)),
-                "other": [(k, k) for k in range(11)]})
-        return (sorted(out.records), td.meter.total_work,
-                td.meter.parallel_time)
-
-    def test_counters_and_outputs_identical(self):
-        inline = self.build_and_run("inline")
-        process = self.build_and_run("process")
-        assert inline == process
-
-    def test_process_backend_validation_at_construction(self):
-        with pytest.raises(ConfigError):
-            TimelyDataflow(workers=1, backend="process")
-        with pytest.raises(ConfigError):
-            TimelyDataflow(workers=4, backend="gpu")
