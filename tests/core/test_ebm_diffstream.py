@@ -72,6 +72,31 @@ class TestEbm:
         weights = {edge[3] for edge in ebm.edges}
         assert 34 in weights
 
+    def test_rows_keep_edge_ids_after_removal(self, call_graph):
+        # Removed ids are never reused, so the rows skip them and stay in
+        # ascending edge-id order.
+        call_graph.remove_edges(1, 3)
+        call_graph.add_edge(8, 1, {"duration": 4, "year": 2020})
+        predicate = parse(
+            "create view v on g edges where year >= 2019").predicate
+        ebm = build_ebm(call_graph, ["recent"], [predicate])
+        ids = [edge[0] for edge in ebm.edges]
+        assert ids == [e.id for e in call_graph.edges]
+        assert ids == sorted(ids) and 1 not in ids and ids[-1] == 15
+        assert [key[1:3] for key in ebm.edges] == [
+            (e.src, e.dst) for e in call_graph.edges]
+        assert ebm.matrix[:, 0].tolist() == [
+            e.properties["year"] >= 2019 for e in call_graph.edges]
+
+    def test_graph_without_edges(self, call_graph):
+        call_graph.edges = []
+        predicates = [parse("create view v on g edges where true").predicate
+                      for _ in range(3)]
+        ebm = build_ebm(call_graph, ["a", "b", "c"], predicates)
+        assert ebm.edges == []
+        assert ebm.matrix.shape == (0, 3)
+        assert ebm.view_sizes() == [0, 0, 0]
+
 
 class TestDiffStream:
     def test_paper_figure_5(self):

@@ -8,8 +8,10 @@ and superstep instead of hanging).
 
 import pytest
 
+from repro.differential.dataflow import Dataflow
 from repro.errors import ConfigError, WorkerFailedError
 from repro.timely.cluster import BACKENDS, ProcessCluster, validate_backend
+from repro.timely.worker import shard_for
 
 
 class EchoOp:
@@ -66,6 +68,12 @@ class TestValidateBackend:
         with pytest.raises(ConfigError, match="workers >= 2"):
             ProcessCluster(1, {})
 
+    def test_dataflow_validates_at_construction(self):
+        with pytest.raises(ConfigError, match="workers >= 2"):
+            Dataflow(workers=1, backend="process")
+        with pytest.raises(ConfigError, match="unknown backend"):
+            Dataflow(workers=4, backend="gpu")
+
 
 class TestClusterExchange:
     def test_task_round_trip_and_close(self):
@@ -87,6 +95,19 @@ class TestClusterExchange:
             replies = cluster.run_tasks(0, "hdr", [("a", None), ("b", None)])
             assert replies["a"][1] == ("hdr", 10, None)
             assert replies["b"][1] == ("hdr", 20, None)
+        finally:
+            cluster.close()
+
+    def test_default_routing_pairs_updates_with_tasks(self):
+        # Updates and tasks both route by shard_for, so every task reaches
+        # the worker holding its key's state, whichever worker that is.
+        cluster = make_cluster(workers=3)
+        try:
+            keys = range(12)
+            assert {shard_for(key, 3) for key in keys} == {0, 1, 2}
+            cluster.post_updates(0, "set", (0,), {k: k * 100 for k in keys})
+            replies = cluster.run_tasks(0, "h", [(k, None) for k in keys])
+            assert replies == {k: ((1,), ("h", k * 100, None)) for k in keys}
         finally:
             cluster.close()
 
