@@ -5,20 +5,19 @@ export PYTHONPATH := src
 FUZZ_SEED ?= 7
 FUZZ_ITERATIONS ?= 25
 
-.PHONY: test analyze fuzz fuzz-soak bench bench-parallel serve-smoke \
-	stream-smoke pack-smoke sanitize-smoke lint-src perfbench-smoke
+.PHONY: test analyze fuzz fuzz-soak bench serve-smoke stream-smoke \
+	pack-smoke lint-src perfbench-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 # Static plan analysis + UDF linting over every built-in algorithm plus
-# fuzzer-generated plans, including the shard-safety (concurrency) pass;
-# --strict-warnings makes WARNING findings fail the gate too. (The
-# stream pass is exercised by the corpus tests instead: scc's nested
-# fixed point legitimately warns under GS-M404.)
+# fuzzer-generated plans; --strict-warnings makes WARNING findings fail
+# the gate too. (The stream pass is exercised by the corpus tests
+# instead: scc's nested fixed point legitimately warns under GS-M404.)
 analyze:
 	$(PYTHON) -m repro.cli analyze --seed $(FUZZ_SEED) --generated 25 \
-		--concurrency --strict-warnings --json analysis-report.json
+		--strict-warnings --json analysis-report.json
 
 # The CI fuzz-smoke configuration: fixed seed, deterministic campaign.
 fuzz:
@@ -33,16 +32,6 @@ fuzz-soak:
 bench:
 	$(PYTHON) benchmarks/bench_hotpath.py --check BENCH_engine.json \
 		--tolerance 0.25
-
-# Backend-equality + speedup gate for the process backend (the CI
-# parallel-smoke job). Counters and output digests must be identical
-# across backends; the speedup floor is enforced only on machines with
-# at least as many cores as workers (advisory otherwise). See
-# docs/parallel.md.
-bench-parallel:
-	$(PYTHON) benchmarks/bench_hotpath.py --compare-backends \
-		--workers 4 --scenarios iterate_heavy,collection_run_wcc \
-		--min-speedup 2.0
 
 # Boot the real daemon, drive it over HTTP (health, GVDL, cached run,
 # mutation, delta recompute), SIGTERM it, and assert a clean drained
@@ -64,23 +53,14 @@ pack-smoke:
 			--algorithms $$algo --quiet || exit 1; \
 	done
 
-# Shadow-sanitizer gate (the CI sanitize-smoke job): a clean
-# iterate-heavy WCC run under sanitize=True must stay silent with
-# byte-identical counters, and a planted inline/process divergence must
-# be caught at the offending reduce's exact plan address on the first
-# epoch. Driver: src/repro/verify/sanitize_smoke.py. See docs/parallel.md.
-sanitize-smoke:
-	$(PYTHON) -m repro.verify.sanitize_smoke
-
 # Source lint (the CI lint-src job); requires ruff on PATH. Config lives
 # in pyproject.toml [tool.ruff].
 lint-src:
 	ruff check src tests
 
 # Stream a 60-epoch seeded churn source through continuously maintained
-# queries on both backends: per-epoch snapshots must equal the plain
-# references on the accumulated edges, inline/process must be
-# byte-identical, work must scale with the batch (not the graph),
+# queries: per-epoch snapshots must equal the plain references on the
+# accumulated edges, work must scale with the batch (not the graph),
 # capture traces stay bounded under compaction, and a journaled stream
 # killed mid-way resumes byte-identically. See docs/streaming.md.
 stream-smoke:

@@ -21,22 +21,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_hotpath.py                # print
     PYTHONPATH=src python benchmarks/bench_hotpath.py --emit BENCH_engine.json
     PYTHONPATH=src python benchmarks/bench_hotpath.py --check BENCH_engine.json
-    PYTHONPATH=src python benchmarks/bench_hotpath.py \
-        --compare-backends --workers 4 --min-speedup 2.0
 
 ``--check`` is the regression gate used by the CI ``perf-smoke`` job: it
 exits non-zero when any scenario's score or work regresses past the
 tolerance (default 25%) against the committed baseline.
-
-``--compare-backends`` is the gate behind ``make bench-parallel`` and
-the CI ``parallel-smoke`` job: it runs the suite on the inline backend
-and again on the process backend (real OS worker processes, see
-``docs/parallel.md``), fails if any counter or output digest differs,
-and — when the machine actually has the cores — enforces a minimum
-wall-clock speedup with ``--min-speedup``. On machines with fewer cores
-than ``--workers`` the speedup is reported advisorily instead of
-gating, because forked workers time-slicing one core cannot beat the
-inline loop.
 
 This file is a plain script, not a pytest-benchmark module: the gate must
 run without pytest and produce one comparable JSON payload per run.
@@ -46,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import random
 import sys
 import time
@@ -55,12 +42,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from repro.algorithms import Bfs, Wcc
 from repro.bench.reporting import (
     BENCH_SCHEMA,
-    backend_speedup_rows,
     bench_to_json,
-    compare_backend_payloads,
     compare_benchmarks,
     load_bench_json,
-    render_backend_comparison,
 )
 from repro.core.executor import AnalyticsExecutor, ExecutionMode
 from repro.core.view_collection import collection_from_diffs
@@ -119,36 +103,32 @@ def _random_keyed_diff(n: int, keys: int, rng: random.Random) -> Dict:
             for _ in range(n)}
 
 
-def scenario_join_heavy(scale: float, workers: int = 1,
-                        backend: str = "inline") -> Dict[str, object]:
+def scenario_join_heavy(scale: float,
+                        workers: int = 1) -> Dict[str, object]:
     """Multi-epoch churn through one plain two-sided join."""
     rng = random.Random(7)
-    df = Dataflow(workers=workers, backend=backend)
+    df = Dataflow(workers=workers)
     a = df.new_input("a")
     b = df.new_input("b")
     out = df.capture(a.join(b), "out")
     n = int(4_000 * scale)
     started = time.perf_counter()
-    try:
-        for _epoch in range(6):
-            df.step({"a": _random_keyed_diff(n, 900, rng),
-                     "b": _random_keyed_diff(n, 900, rng)})
-        wall = time.perf_counter() - started
-        digest = _digest_captures([out])
-    finally:
-        df.close()
+    for _epoch in range(6):
+        df.step({"a": _random_keyed_diff(n, 900, rng),
+                 "b": _random_keyed_diff(n, 900, rng)})
+    wall = time.perf_counter() - started
+    digest = _digest_captures([out])
     return {"work": df.meter.total_work,
             "parallel_time": df.meter.parallel_time,
             "wall_seconds": wall,
             "output_digest": digest}
 
 
-def scenario_join_arranged_shared(scale: float, workers: int = 1,
-                                  backend: str = "inline"
+def scenario_join_arranged_shared(scale: float, workers: int = 1
                                   ) -> Dict[str, object]:
     """One arrangement of a churning relation read by three joins."""
     rng = random.Random(11)
-    df = Dataflow(workers=workers, backend=backend)
+    df = Dataflow(workers=workers)
     base = df.new_input("base")
     arranged = base.arrange_by_key("base.arr")
     captures = []
@@ -158,24 +138,21 @@ def scenario_join_arranged_shared(scale: float, workers: int = 1,
             df.capture(probe.join_arranged(arranged), f"out{index}"))
     n = int(3_000 * scale)
     started = time.perf_counter()
-    try:
-        for _epoch in range(5):
-            feed = {"base": _random_keyed_diff(n, 700, rng)}
-            for index in range(3):
-                feed[f"probe{index}"] = _random_keyed_diff(n // 3, 700, rng)
-            df.step(feed)
-        wall = time.perf_counter() - started
-        digest = _digest_captures(captures)
-    finally:
-        df.close()
+    for _epoch in range(5):
+        feed = {"base": _random_keyed_diff(n, 700, rng)}
+        for index in range(3):
+            feed[f"probe{index}"] = _random_keyed_diff(n // 3, 700, rng)
+        df.step(feed)
+    wall = time.perf_counter() - started
+    digest = _digest_captures(captures)
     return {"work": df.meter.total_work,
             "parallel_time": df.meter.parallel_time,
             "wall_seconds": wall,
             "output_digest": digest}
 
 
-def scenario_iterate_heavy(scale: float, workers: int = 1,
-                           backend: str = "inline") -> Dict[str, object]:
+def scenario_iterate_heavy(scale: float,
+                           workers: int = 1) -> Dict[str, object]:
     """Label propagation over a long path: many iterations, deep traces.
 
     A path graph has diameter ``n - 1``, so the fixed point takes ~n
@@ -183,7 +160,7 @@ def scenario_iterate_heavy(scale: float, workers: int = 1,
     the accumulate-dominated regime.
     """
     n = int(90 * scale)
-    df = Dataflow(workers=workers, backend=backend)
+    df = Dataflow(workers=workers)
     edges = df.new_input("edges")
     labels = df.new_input("labels")
 
@@ -199,19 +176,16 @@ def scenario_iterate_heavy(scale: float, workers: int = 1,
         path[(u, u + 1)] = 1
         path[(u + 1, u)] = 1
     started = time.perf_counter()
-    try:
-        df.step({"edges": path, "labels": {(v, v): 1 for v in range(n)}})
-        # A handful of incremental epochs: cut and re-link the path near
-        # the far end, so corrections cascade through long iteration
-        # suffixes.
-        for epoch in range(1, 4):
-            cut = n - 12 * epoch
-            df.step({"edges": {(cut, cut + 1): -1, (cut + 1, cut): -1}})
-            df.step({"edges": {(cut, cut + 1): 1, (cut + 1, cut): 1}})
-        wall = time.perf_counter() - started
-        digest = _digest_captures([out])
-    finally:
-        df.close()
+    df.step({"edges": path, "labels": {(v, v): 1 for v in range(n)}})
+    # A handful of incremental epochs: cut and re-link the path near
+    # the far end, so corrections cascade through long iteration
+    # suffixes.
+    for epoch in range(1, 4):
+        cut = n - 12 * epoch
+        df.step({"edges": {(cut, cut + 1): -1, (cut + 1, cut): -1}})
+        df.step({"edges": {(cut, cut + 1): 1, (cut + 1, cut): 1}})
+    wall = time.perf_counter() - started
+    digest = _digest_captures([out])
     return {"work": df.meter.total_work,
             "parallel_time": df.meter.parallel_time,
             "wall_seconds": wall,
@@ -243,12 +217,12 @@ def _path_cut_collection(num_nodes: int, num_views: int, seed: int):
     return collection_from_diffs(f"hotpath-pathcut-{num_views}", diffs)
 
 
-def scenario_collection_run(scale: float, workers: int = 1,
-                            backend: str = "inline") -> Dict[str, object]:
+def scenario_collection_run(scale: float,
+                            workers: int = 1) -> Dict[str, object]:
     """The headline workload: iterative WCC differentially across a
     collection of deep-cut path views."""
     collection = _path_cut_collection(int(100 * scale), 10, seed=3)
-    executor = AnalyticsExecutor(workers=workers, backend=backend)
+    executor = AnalyticsExecutor(workers=workers)
     started = time.perf_counter()
     result = executor.run_on_collection(
         Wcc(), collection, mode=ExecutionMode.DIFF_ONLY,
@@ -260,11 +234,11 @@ def scenario_collection_run(scale: float, workers: int = 1,
             "output_digest": _digest_views(result)}
 
 
-def scenario_collection_bfs(scale: float, workers: int = 1,
-                            backend: str = "inline") -> Dict[str, object]:
+def scenario_collection_bfs(scale: float,
+                            workers: int = 1) -> Dict[str, object]:
     """BFS across the same deep-cut collection (join + min reduce mix)."""
     collection = _path_cut_collection(int(100 * scale), 6, seed=5)
-    executor = AnalyticsExecutor(workers=workers, backend=backend)
+    executor = AnalyticsExecutor(workers=workers)
     started = time.perf_counter()
     result = executor.run_on_collection(
         Bfs(source=0), collection, mode=ExecutionMode.DIFF_ONLY,
@@ -286,7 +260,6 @@ SCENARIOS: Dict[str, Callable[..., Dict[str, object]]] = {
 
 
 def run_suite(scale: float = 1.0, workers: int = 1,
-              backend: str = "inline",
               names: Optional[Sequence[str]] = None) -> Dict[str, object]:
     """Run the selected scenarios once; return the comparable payload."""
     if names is None:
@@ -298,11 +271,11 @@ def run_suite(scale: float = 1.0, workers: int = 1,
     calibration = _calibrate()
     scenarios: Dict[str, Dict[str, object]] = {}
     for name in names:
-        counters = SCENARIOS[name](scale, workers=workers, backend=backend)
+        counters = SCENARIOS[name](scale, workers=workers)
         # Scenarios time their own execution window, which excludes the
-        # output-digest canonicalization: that is measurement overhead,
-        # identical across backends, and would otherwise dominate the
-        # score of output-heavy scenarios.
+        # output-digest canonicalization: that is measurement overhead
+        # and would otherwise dominate the score of output-heavy
+        # scenarios.
         wall = counters["wall_seconds"]
         scenarios[name] = {
             "wall_seconds": round(wall, 4),
@@ -315,7 +288,6 @@ def run_suite(scale: float = 1.0, workers: int = 1,
         "suite": "hotpath",
         "schema": BENCH_SCHEMA,
         "scale": scale,
-        "backend": backend,
         "workers": workers,
         "calibration_seconds": round(calibration, 4),
         "scenarios": scenarios,
@@ -323,8 +295,8 @@ def run_suite(scale: float = 1.0, workers: int = 1,
 
 
 def _render(payload: Dict[str, object]) -> str:
-    lines = [f"hotpath suite (scale {payload['scale']}, backend "
-             f"{payload['backend']}, workers {payload['workers']}, "
+    lines = [f"hotpath suite (scale {payload['scale']}, "
+             f"workers {payload['workers']}, "
              f"calibration {payload['calibration_seconds']}s)"]
     header = f"{'scenario':<24} {'wall(s)':>9} {'score':>8} " \
              f"{'work':>12} {'ptime':>12}"
@@ -336,47 +308,6 @@ def _render(payload: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _compare_backends(args) -> int:
-    """Run inline vs process, gate on equality (and speedup if gateable)."""
-    names = None
-    if args.scenarios:
-        names = [part.strip() for part in args.scenarios.split(",")
-                 if part.strip()]
-    print(f"running inline backend (workers={args.workers})...")
-    inline_payload = run_suite(scale=args.scale, workers=args.workers,
-                               backend="inline", names=names)
-    print(f"running process backend (workers={args.workers})...")
-    process_payload = run_suite(scale=args.scale, workers=args.workers,
-                                backend="process", names=names)
-    rows = backend_speedup_rows(inline_payload, process_payload)
-    print()
-    print(render_backend_comparison(rows))
-    problems = compare_backend_payloads(inline_payload, process_payload)
-    if problems:
-        print("\nBACKEND DIVERGENCE (counters/outputs must be identical)")
-        for problem in problems:
-            print("  " + problem)
-        return 1
-    print("\nOK: counters and output digests identical across backends")
-    if args.min_speedup is not None:
-        cores = os.cpu_count() or 1
-        slow = [row for row in rows
-                if float(row["speedup"]) < args.min_speedup]
-        if cores < args.workers:
-            print(f"speedup gate advisory only: {cores} core(s) < "
-                  f"{args.workers} workers"
-                  + (f"; below target: "
-                     f"{[row['scenario'] for row in slow]}" if slow else ""))
-        elif slow:
-            print(f"\nSPEEDUP below {args.min_speedup:.2f}x:")
-            for row in slow:
-                print(f"  {row['scenario']}: {row['speedup']}x")
-            return 1
-        else:
-            print(f"OK: every scenario >= {args.min_speedup:.2f}x")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=1.0,
@@ -384,10 +315,6 @@ def main(argv=None) -> int:
                              "committed baseline is recorded at 1.0)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker shard count (default 1)")
-    parser.add_argument("--backend", default="inline",
-                        choices=["inline", "process"],
-                        help="execution backend (default inline; see "
-                             "docs/parallel.md)")
     parser.add_argument("--scenarios", default=None, metavar="A,B",
                         help="comma-separated scenario subset "
                              "(default: all)")
@@ -399,23 +326,10 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional regression for --check "
                              "(default 0.25)")
-    parser.add_argument("--compare-backends", action="store_true",
-                        help="run inline AND process backends; fail on "
-                             "any counter/output divergence")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        metavar="X",
-                        help="with --compare-backends: minimum process-"
-                             "backend wall-clock speedup; enforced only "
-                             "when the machine has >= --workers cores, "
-                             "advisory otherwise")
     args = parser.parse_args(argv)
 
     try:
-        if args.compare_backends:
-            return _compare_backends(args)
-
         payload = run_suite(scale=args.scale, workers=args.workers,
-                            backend=args.backend,
                             names=([part.strip() for part in
                                     args.scenarios.split(",")
                                     if part.strip()]

@@ -1,4 +1,4 @@
-"""Pass 4 — stream-maintainability analysis for continuous queries.
+"""Pass 3 — stream-maintainability analysis for continuous queries.
 
 A plan registered as a continuous query (:meth:`StreamEngine.register`,
 ``Graphsurge.stream``, the daemon's ``POST /stream``) is never torn down:
@@ -20,19 +20,16 @@ examples lives in ``docs/analysis.md``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import inspect
+import types
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analyze.plan import PlanWalk, _is_cancelling_negate
 from repro.analyze.report import Finding, Rule, Severity
-from repro.analyze.shard import (
-    _MUTABLE_CONTAINERS,
-    _CODE_TYPES,
-    _callable_node,
-    closure_bindings,
-)
 from repro.analyze.udf import (
     _RawFinding,
     _callable_name,
+    _callable_node,
     _check_external_mutation,
     _suppressed_rules,
     udf_sites,
@@ -74,6 +71,56 @@ STREAM_RULES: Dict[str, Rule] = {rule.id: rule for rule in (
          "mutation changes results for already-ingested epochs, which "
          "retractions can then never cancel."),
 )}
+
+
+#: Binding values that are code, not data; GS-M405 skips them.
+_CODE_TYPES = (types.FunctionType, types.BuiltinFunctionType,
+               types.MethodType, types.ModuleType, type)
+
+_MUTABLE_CONTAINERS = (list, dict, set, bytearray)
+
+
+def _referenced_names(code: types.CodeType) -> Iterable[str]:
+    """Global/attribute names referenced by ``code`` and every code object
+    nested inside it (comprehensions and lambdas compile to nested code
+    objects on Python < 3.12)."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _referenced_names(const)
+
+
+def closure_bindings(func) -> Dict[str, Any]:
+    """``name -> captured value`` for a callable's closure cells, argument
+    defaults, and referenced module globals.
+
+    Best-effort and read-only; non-function callables (builtins, partials
+    without ``__code__``) yield an empty mapping.
+    """
+    func = inspect.unwrap(func)
+    if inspect.ismethod(func):
+        func = func.__func__
+    if not inspect.isfunction(func):
+        return {}
+    bindings: Dict[str, Any] = {}
+    code = func.__code__
+    for name, cell in zip(code.co_freevars, func.__closure__ or ()):
+        try:
+            bindings[name] = cell.cell_contents
+        except ValueError:  # pragma: no cover - empty cell
+            continue
+    defaults = func.__defaults__ or ()
+    if defaults:
+        arg_names = code.co_varnames[:code.co_argcount]
+        for name, value in zip(arg_names[-len(defaults):], defaults):
+            bindings.setdefault(name, value)
+    for name, value in (func.__kwdefaults__ or {}).items():
+        bindings.setdefault(name, value)
+    module_globals = getattr(func, "__globals__", None) or {}
+    for name in _referenced_names(code):
+        if name in module_globals and name not in bindings:
+            bindings[name] = module_globals[name]
+    return bindings
 
 
 def _finding(rule_id: str, where: str, message: str,

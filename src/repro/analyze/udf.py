@@ -208,6 +208,27 @@ def _parse_block(source: str) -> Tuple[Optional[ast.Module], int]:
         text = stripped[:-1]
 
 
+def _callable_node(func) -> Tuple[Optional[ast.AST], List[str], int]:
+    """The AST node of ``func`` plus its source lines and parse base.
+
+    ``(None, lines, base)`` when the source is unavailable or unparsable
+    (builtins, REPL lambdas) — skipped, not failed.
+    """
+    func = inspect.unwrap(func)
+    if inspect.ismethod(func):
+        func = func.__func__
+    if not inspect.isfunction(func):
+        return None, [], 1
+    try:
+        source = textwrap.dedent(inspect.getsource(func))
+    except (OSError, TypeError):
+        return None, [], 1
+    tree, base = _parse_block(source)
+    if tree is None:
+        return None, source.splitlines(), 1
+    return _find_node(tree, func, base), source.splitlines(), base
+
+
 def lint_callable(func, role: str) -> Tuple[List[_RawFinding], List[str],
                                             bool]:
     """Lint one callable.
@@ -215,28 +236,16 @@ def lint_callable(func, role: str) -> Tuple[List[_RawFinding], List[str],
     Returns ``(raw findings, source lines, skipped)``; suppression
     comments are *not* applied here (the caller needs the line text).
     """
-    func = inspect.unwrap(func)
-    if not (inspect.isfunction(func) or inspect.ismethod(func)):
-        return [], [], True
-    if inspect.ismethod(func):
-        func = func.__func__
-    try:
-        source = textwrap.dedent(inspect.getsource(func))
-    except (OSError, TypeError):
-        return [], [], True
-    tree, base = _parse_block(source)
-    if tree is None:
-        return [], source.splitlines(), True
-    node = _find_node(tree, func, base)
+    node, lines, base = _callable_node(func)
     if node is None:
-        return [], source.splitlines(), True
+        return [], lines, True
     findings = list(_lint_node(node, role))
     if base != 1:
         # Wrapped parse shifted AST line numbers; map them back onto the
         # source block so suppression comments line up.
         for item in findings:
             item.line -= base - 1
-    return findings, source.splitlines(), False
+    return findings, lines, False
 
 
 def _lint_node(node: ast.AST, role: str) -> Iterable[_RawFinding]:

@@ -148,14 +148,14 @@ def bench_to_json(payload: Dict[str, object], path: PathLike) -> None:
     like::
 
         {"suite": "hotpath", "schema": 1, "calibration_seconds": 0.12,
-         "backend": "inline", "workers": 1,
+         "workers": 1,
          "scenarios": {"join_heavy": {"wall_seconds": ..., "score": ...,
                                       "work": ..., "parallel_time": ...}}}
 
-    ``backend``/``workers`` record the execution configuration of the
-    run; the regression gate compares only per-scenario ``score`` and
-    ``work``, so baselines written before those fields existed still
-    load and compare.
+    ``workers`` records the execution configuration of the run; the
+    regression gate compares only per-scenario ``score`` and ``work``,
+    so baselines with fewer or extra top-level fields (older baselines
+    also record ``backend``) still load and compare.
 
     The write is atomic (temp file + ``os.replace``), so a crash or an
     interrupted ``--update-baseline`` run never leaves a torn baseline
@@ -231,73 +231,3 @@ def compare_benchmarks(current: Dict[str, object],
             f"{name}: scenario has no baseline entry — run "
             f"--update-baseline to start gating it")
     return problems
-
-
-# -- backend comparison (the parallel-smoke gate) -----------------------------
-
-
-def compare_backend_payloads(inline_payload: Dict[str, object],
-                             process_payload: Dict[str, object]
-                             ) -> List[str]:
-    """Check two same-workload runs for backend observational equality.
-
-    The process backend's contract (``docs/parallel.md``) is that moving
-    worker shards onto real OS processes changes wall clock only: the
-    metered ``work`` and ``parallel_time`` counters and the canonical
-    output digest of every scenario must be byte-identical to the inline
-    run. Returns human-readable violations (empty = equal).
-    """
-    problems: List[str] = []
-    inline_scenarios = inline_payload.get("scenarios", {})
-    process_scenarios = process_payload.get("scenarios", {})
-    for name in sorted(set(inline_scenarios) | set(process_scenarios)):
-        inline_row = inline_scenarios.get(name)
-        process_row = process_scenarios.get(name)
-        if inline_row is None or process_row is None:
-            missing = "inline" if inline_row is None else "process"
-            problems.append(f"{name}: missing from the {missing} run")
-            continue
-        for metric in ("work", "parallel_time", "output_digest"):
-            inline_value = inline_row.get(metric)
-            process_value = process_row.get(metric)
-            if inline_value != process_value:
-                problems.append(
-                    f"{name}: {metric} diverged between backends "
-                    f"(inline {inline_value!r} != process "
-                    f"{process_value!r})")
-    return problems
-
-
-def backend_speedup_rows(inline_payload: Dict[str, object],
-                         process_payload: Dict[str, object]
-                         ) -> List[Dict[str, object]]:
-    """Per-scenario wall-clock speedup rows: inline wall / process wall."""
-    rows: List[Dict[str, object]] = []
-    inline_scenarios = inline_payload.get("scenarios", {})
-    process_scenarios = process_payload.get("scenarios", {})
-    for name, inline_row in inline_scenarios.items():
-        process_row = process_scenarios.get(name)
-        if process_row is None:
-            continue
-        inline_wall = float(inline_row.get("wall_seconds", 0.0))
-        process_wall = float(process_row.get("wall_seconds", 0.0))
-        speedup = (inline_wall / process_wall
-                   if process_wall > 1e-9 else float("inf"))
-        rows.append({
-            "scenario": name,
-            "inline_wall": inline_wall,
-            "process_wall": process_wall,
-            "speedup": round(speedup, 2),
-        })
-    return rows
-
-
-def render_backend_comparison(rows: Sequence[Dict[str, object]]) -> str:
-    """ASCII table of the backend comparison, with a speedup column."""
-    lines = [f"{'scenario':<24} {'inline(s)':>10} {'process(s)':>11} "
-             f"{'speedup':>8}"]
-    for row in rows:
-        lines.append(
-            f"{row['scenario']:<24} {row['inline_wall']:>10.3f} "
-            f"{row['process_wall']:>11.3f} {row['speedup']:>7.2f}x")
-    return "\n".join(lines)

@@ -29,12 +29,9 @@ Subcommands:
 * ``analyze`` — static plan analysis + UDF determinism linting over the
   built-in algorithms (and ``--generated N`` fuzzer-derived plans)
   without executing anything; exits 1 on any ERROR finding (see
-  docs/analysis.md). ``--concurrency`` adds the shard-safety pass
-  (GS-S3xx), ``--stream`` the stream-maintainability pass (GS-M4xx),
-  ``--strict-warnings`` also fails on WARNING findings. ``run --strict``
-  applies the same check before executing; ``run --sanitize`` (process
-  backend) shadow-executes every epoch inline and fails at the first
-  divergence.
+  docs/analysis.md). ``--stream`` adds the stream-maintainability pass
+  (GS-M4xx), ``--strict-warnings`` also fails on WARNING findings.
+  ``run --strict`` applies the same check before executing.
 
 Computations: wcc, scc, bfs, bf (Bellman-Ford), pagerank, mpsp, kcore,
 triangles, degrees, maxdegree, plus the community & scoring pack:
@@ -136,11 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="simulated worker count (default 1)")
     parser.add_argument(
-        "--backend", default="inline", choices=["inline", "process"],
-        help="execution backend: inline runs all shards in this "
-             "process; process forks one OS worker per shard "
-             "(see docs/parallel.md; default inline)")
-    parser.add_argument(
         "--order-collections", default="identity",
         choices=["identity", "christofides", "greedy", "random"],
         help="collection ordering method (default identity)")
@@ -215,13 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strict", action="store_true",
                      help="statically analyze the plan at build time and "
                           "refuse to run on any ERROR finding (see "
-                          "docs/analysis.md); on --backend process this "
-                          "includes the shard-safety pass")
-    run.add_argument("--sanitize", action="store_true",
-                     help="shadow-execute every epoch on an inline twin "
-                          "and fail at the first divergent (operator, "
-                          "timestamp, shard); requires --backend process "
-                          "(see docs/parallel.md)")
+                          "docs/analysis.md)")
 
     profile = subcommands.add_parser(
         "profile", help="run a computation traced; print the per-view "
@@ -259,11 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--quiet", action="store_true",
                          help="print only per-plan verdict lines and the "
                               "summary")
-    analyze.add_argument("--concurrency", action="store_true",
-                         help="also run the shard-safety pass (GS-S3xx: "
-                              "process-backend hazards — unpicklable "
-                              "captures, cross-process state, unstable "
-                              "hash keys)")
     analyze.add_argument("--stream", action="store_true",
                          help="also run the stream-maintainability pass "
                               "(GS-M4xx: retraction and compaction "
@@ -319,11 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="serve_workers", metavar="N",
                        help="worker count for resident dataflows "
                             "(overrides the global --workers)")
-    serve.add_argument("--backend", default=None, dest="serve_backend",
-                       choices=["inline", "process"],
-                       help="execution backend for resident dataflows "
-                            "(overrides the global --backend; see "
-                            "docs/parallel.md)")
 
     stream = subcommands.add_parser(
         "stream", help="stream edge batches into continuously maintained "
@@ -412,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _setup_session(args: argparse.Namespace) -> Graphsurge:
     session = Graphsurge(workers=args.workers,
                          order_collections=args.order_collections,
-                         weight_property=args.weight_property,
-                         backend=args.backend)
+                         weight_property=args.weight_property)
     for spec in args.load:
         name, _, files = spec.partition("=")
         nodes_path, _, edges_path = files.partition(",")
@@ -495,7 +470,7 @@ def _run(session: Graphsurge, args: argparse.Namespace) -> None:
         batch_size=args.batch_size, keep_outputs=bool(args.out),
         checkpoint_path=checkpoint_path, resume_from=resume_from,
         budget=budget, retry_policy=retry_policy, tracer=tracer,
-        strict=args.strict, sanitize=args.sanitize)
+        strict=args.strict)
     if isinstance(result, CollectionRunResult):
         resumed = (f", resumed at view {result.resumed_views}"
                    if result.resumed_views else "")
@@ -574,7 +549,6 @@ def _analyze(args: argparse.Namespace) -> int:
     errors = warnings = 0
     for label, computation in plans:
         report = analyze_computation(computation, workers=args.workers,
-                                     concurrency=args.concurrency,
                                      stream=args.stream)
         reports[label] = report
         errors += len(report.errors())
@@ -785,12 +759,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "analyze":
             return _analyze(args)
         if args.command == "serve":
-            # Per-subcommand overrides fold into the session knobs so the
-            # resident dataflows (and backend validation) see them.
+            # The per-subcommand override folds into the session knobs so
+            # the resident dataflows see it.
             if args.serve_workers is not None:
                 args.workers = args.serve_workers
-            if args.serve_backend is not None:
-                args.backend = args.serve_backend
         session = _setup_session(args)
         if args.command == "info":
             _print_info(session)

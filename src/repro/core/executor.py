@@ -167,37 +167,13 @@ class AnalyticsExecutor:
 
     def __init__(self, workers: int = 1,
                  tracer: Optional[TraceSink] = None,
-                 strict: bool = False,
-                 backend: str = "inline",
-                 sanitize: bool = False):
-        from repro.errors import ConfigError
-        from repro.timely.cluster import validate_backend
-
+                 strict: bool = False):
         self.workers = workers
-        validate_backend(backend, workers)
-        #: Execution backend for every dataflow this executor builds:
-        #: ``"inline"`` (default, single process) or ``"process"`` (one OS
-        #: process per worker; see ``docs/parallel.md``). Counters and
-        #: outputs are byte-identical between backends.
-        self.backend = backend
         self.tracer = tracer
         #: Strict mode statically analyzes every plan at build time and
         #: refuses (``AnalysisError``) to run one with ERROR findings —
-        #: before the epoch driver touches a single view. On
-        #: ``backend="process"`` the analysis includes the shard-safety
-        #: pass (``GS-S3xx``), so e.g. a kernel that fails the pickle
-        #: probe is refused before any epoch executes.
+        #: before the epoch driver touches a single view.
         self.strict = strict
-        if sanitize and backend != "process":
-            raise ConfigError(
-                "sanitize=True shadow-executes the process backend "
-                "against an inline twin; it requires backend='process' "
-                "(an inline run has nothing to diverge from)")
-        #: Sanitize mode shadow-executes every epoch on an inline twin of
-        #: the plan and raises :class:`~repro.errors.SanitizerError` at
-        #: the first divergent (operator, timestamp, shard) address. See
-        #: :mod:`repro.verify.sanitize`.
-        self.sanitize = sanitize
         self._strict_cleared: set = set()
 
     # -- single views -----------------------------------------------------------
@@ -211,17 +187,14 @@ class AnalyticsExecutor:
         """Run a computation on one materialized view (paper §3.1.2)."""
         dataflow, capture = self._fresh_dataflow(computation, budget,
                                                  fault_plan)
-        try:
-            started = time.perf_counter()
-            before = dataflow.meter.snapshot()
-            mark = self.tracer.mark() if self.tracer is not None else 0
-            diff = edges.as_input_diff(directed=computation.directed)
-            epoch = dataflow.step({"edges": diff})
-            after = dataflow.meter.snapshot()
-            spent = before.delta(after)
-            output = capture.value_at_epoch(epoch)
-        finally:
-            dataflow.close()
+        started = time.perf_counter()
+        before = dataflow.meter.snapshot()
+        mark = self.tracer.mark() if self.tracer is not None else 0
+        diff = edges.as_input_diff(directed=computation.directed)
+        epoch = dataflow.step({"edges": diff})
+        after = dataflow.meter.snapshot()
+        spent = before.delta(after)
+        output = capture.value_at_epoch(epoch)
         profile = None
         if self.tracer is not None:
             profile = profile_view(self.tracer, view_name, mark,
@@ -361,8 +334,6 @@ class AnalyticsExecutor:
                     writer.append_view(self._view_record(
                         index, result, split, observation))
         except BudgetExceededError as error:
-            if dataflow is not None:
-                dataflow.close()
             error.partial = CollectionRunResult(
                 computation=computation.name,
                 collection=collection.name,
@@ -382,10 +353,7 @@ class AnalyticsExecutor:
         if dataflow is not None:
             from repro.differential.debug import operator_record_counts
 
-            # Gather counts before close: on the process backend they come
-            # from the still-running workers over the exchange channels.
             trace_memory = operator_record_counts(dataflow)
-            dataflow.close()
         profile = None
         if self.tracer is not None:
             profile = CollectionProfile(
@@ -451,10 +419,7 @@ class AnalyticsExecutor:
                 except Exception as error:
                     failures.append(f"{type(error).__name__}: {error}")
                     last_error = error
-                    # The failed dataflow may be mid-epoch: poison it
-                    # (releasing its worker processes, if any).
-                    if dataflow is not None:
-                        dataflow.close()
+                    # The failed dataflow may be mid-epoch: drop it.
                     dataflow = capture = None
                     if retry_policy is None:
                         raise
@@ -469,16 +434,11 @@ class AnalyticsExecutor:
                       fault_plan: Optional[FaultPlan]
                       ) -> Tuple[ViewRunResult, Dataflow, CaptureOp]:
         started = time.perf_counter()
-        incoming = dataflow
         if strategy is SplitDecision.DIFFERENTIAL and dataflow is None:
             # Rebuilt differential attempt (retry or resume continuation).
             dataflow, capture = self._replay_dataflow(
                 computation, collection, index - 1, budget, fault_plan)
         if strategy is SplitDecision.SCRATCH or dataflow is None:
-            if dataflow is not None:
-                # A scratch view replaces the running dataflow; release
-                # the old one's worker processes before rebuilding.
-                dataflow.close()
             dataflow, capture = self._fresh_dataflow(computation, budget,
                                                      fault_plan)
             feed = edge_diff_to_input(
@@ -489,14 +449,7 @@ class AnalyticsExecutor:
                 index, directed=computation.directed)
         before = dataflow.meter.snapshot()
         mark = self.tracer.mark() if self.tracer is not None else 0
-        try:
-            epoch = dataflow.step({"edges": feed})
-        except BaseException:
-            # A dataflow built inside this attempt would otherwise leak its
-            # worker processes: the caller only knows about ``incoming``.
-            if dataflow is not incoming:
-                dataflow.close()
-            raise
+        epoch = dataflow.step({"edges": feed})
         after = dataflow.meter.snapshot()
         spent = before.delta(after)
         assert capture is not None
@@ -539,11 +492,7 @@ class AnalyticsExecutor:
         replay = edge_diff_to_input(
             collection.full_view_edges(upto_index),
             directed=computation.directed)
-        try:
-            dataflow.step({"edges": replay})
-        except BaseException:
-            dataflow.close()
-            raise
+        dataflow.step({"edges": replay})
         return dataflow, capture
 
     # -- checkpoint record (de)serialization -------------------------------------
@@ -622,8 +571,7 @@ class AnalyticsExecutor:
                         budget: Optional[RunBudget] = None,
                         fault_plan: Optional[FaultPlan] = None):
         dataflow = Dataflow(workers=self.workers, budget=budget,
-                            fault_plan=fault_plan, tracer=self.tracer,
-                            backend=self.backend)
+                            fault_plan=fault_plan, tracer=self.tracer)
         edges = dataflow.new_input("edges")
         result = computation.build(dataflow, edges)
         if result.scope is not dataflow.root:
@@ -635,15 +583,10 @@ class AnalyticsExecutor:
             from repro.analyze import analyze
             from repro.errors import AnalysisError
 
-            report = analyze(dataflow,
-                             concurrency=(self.backend == "process"))
+            report = analyze(dataflow)
             if not report.ok:
                 raise AnalysisError(report)
             # Retries and scratch views rebuild the same plan; one clean
             # analysis per computation object is enough.
             self._strict_cleared.add(id(computation))
-        if self.sanitize:
-            from repro.verify.sanitize import attach_shadow
-
-            attach_shadow(dataflow, computation)
         return dataflow, capture

@@ -47,11 +47,8 @@ class Graphsurge:
 
     Parameters:
 
-    * ``workers`` — worker count for the execution layer.
-    * ``backend`` — ``"inline"`` (default: all shards in this process,
-      parallel time simulated) or ``"process"`` (one OS process per
-      worker; see ``docs/parallel.md``). Counters and outputs are
-      byte-identical between backends.
+    * ``workers`` — simulated worker count for the execution layer
+      (shards the metered work; see ``docs/engine.md``, "Workers").
     * ``order_collections`` — default ordering method applied when
       materializing view collections (``identity`` keeps the user order;
       ``christofides`` enables the §4 optimizer).
@@ -59,15 +56,13 @@ class Graphsurge:
 
     def __init__(self, workers: int = 1,
                  order_collections: str = "identity",
-                 weight_property: Optional[str] = None,
-                 backend: str = "inline"):
+                 weight_property: Optional[str] = None):
         self.workers = workers
-        self.backend = backend
         self.order_collections = order_collections
         self.weight_property = weight_property
         self.graphs = GraphStore()
         self.views = ViewStore()
-        self.executor = AnalyticsExecutor(workers=workers, backend=backend)
+        self.executor = AnalyticsExecutor(workers=workers)
 
     # -- graph management ---------------------------------------------------------
 
@@ -183,15 +178,13 @@ class Graphsurge:
             run_result=run_result, analysis=analysis).render()
 
     def analyze(self, computation: GraphComputation, ignore=(),
-                concurrency: bool = False, stream: bool = False):
+                stream: bool = False):
         """Statically analyze the plan a computation would run with.
 
         Builds the computation's dataflow exactly as a run would (without
         feeding any view) and returns the
         :class:`repro.analyze.AnalysisReport` of the plan analyzer and
-        UDF linter. ``concurrency=True`` adds the shard-safety pass
-        (``GS-S3xx``: process-backend hazards, pickle probe);
-        ``stream=True`` adds the stream-maintainability pass
+        UDF linter. ``stream=True`` adds the stream-maintainability pass
         (``GS-M4xx``: retraction and compaction hazards for continuous
         queries). Pass the report to :meth:`explain` to render it
         alongside the collection summary.
@@ -199,8 +192,7 @@ class Graphsurge:
         from repro.analyze import analyze_computation
 
         return analyze_computation(computation, workers=self.workers,
-                                   ignore=ignore, concurrency=concurrency,
-                                   stream=stream)
+                                   ignore=ignore, stream=stream)
 
     # -- persistence ---------------------------------------------------------------
 
@@ -261,8 +253,7 @@ class Graphsurge:
                       budget=None,
                       retry_policy=None,
                       tracer=None,
-                      strict: bool = False,
-                      sanitize: bool = False
+                      strict: bool = False
                       ) -> Union[ViewRunResult, CollectionRunResult]:
         """Run a computation on a view, base graph, or view collection.
 
@@ -274,20 +265,12 @@ class Graphsurge:
         result, and the sink holds the exportable span stream. Tracing
         never changes the metered cost counters. With ``strict=True`` the
         plan is statically analyzed at build time and the run refuses
-        (:class:`repro.errors.AnalysisError`) on any ERROR finding; on
-        the process backend the analysis includes the shard-safety pass.
-        With ``sanitize=True`` (process backend only) every epoch is
-        shadow-executed inline and the run fails
-        (:class:`repro.errors.SanitizerError`) at the first divergent
-        ``(operator, timestamp, shard)``; a clean sanitized run's
-        counters are byte-identical to an unsanitized one.
+        (:class:`repro.errors.AnalysisError`) on any ERROR finding.
         """
         executor = self.executor
-        if tracer is not None or strict or sanitize:
+        if tracer is not None or strict:
             executor = AnalyticsExecutor(workers=self.workers,
-                                         tracer=tracer, strict=strict,
-                                         backend=self.backend,
-                                         sanitize=sanitize)
+                                         tracer=tracer, strict=strict)
         if self.views.has_collection(target):
             collection: MaterializedCollection = \
                 self.views.get_collection(target)
@@ -322,7 +305,7 @@ class Graphsurge:
 
         graph = self.resolve(target) if target else None
         engine = StreamEngine(
-            graph, workers=self.workers, backend=self.backend,
+            graph, workers=self.workers,
             weight_property=self.weight_property,
             compact_every=compact_every, keep_epochs=keep_epochs)
         for entry in queries:

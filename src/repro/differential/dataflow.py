@@ -15,7 +15,6 @@ from repro.differential.multiset import Diff
 from repro.differential.operators.base import Operator
 from repro.differential.operators.io import CaptureOp, InputOp
 from repro.errors import DataflowError
-from repro.timely.cluster import ProcessCluster, validate_backend
 from repro.timely.meter import WorkMeter
 
 
@@ -58,24 +57,12 @@ class Dataflow:
     """An executable differential dataflow."""
 
     def __init__(self, workers: int = 1, meter: Optional[WorkMeter] = None,
-                 budget=None, fault_plan=None, tracer=None,
-                 backend: str = "inline"):
+                 budget=None, fault_plan=None, tracer=None):
         self.meter = (meter if meter is not None
                       else WorkMeter(workers, fault_plan=fault_plan,
                                      tracer=tracer))
         if tracer is not None:
             self.meter.tracer = tracer
-        validate_backend(backend, self.meter.workers)
-        #: Execution backend: ``"inline"`` runs all worker shards in this
-        #: process; ``"process"`` forks one OS process per worker at the
-        #: first :meth:`step` and routes keyed operator work over exchange
-        #: channels (see :mod:`repro.timely.cluster`, ``docs/parallel.md``).
-        #: Counters and outputs are byte-identical between backends.
-        self.backend = backend
-        #: The live :class:`~repro.timely.cluster.ProcessCluster`, or
-        #: ``None`` on the inline backend (and before the first step).
-        #: Keyed operators branch on this to route their per-key kernels.
-        self.cluster = None
         #: Optional :class:`repro.observe.tracer.TraceSink`. When set, the
         #: scope drivers and :meth:`Operator.send` bracket every operator
         #: apply with an attribution context; when ``None`` every hook is
@@ -90,11 +77,6 @@ class Dataflow:
         #: fires at the top of every :meth:`step`).
         self.fault_plan = fault_plan
         self._budget_charged = 0
-        #: Optional :class:`repro.verify.sanitize.ShadowSanitizer`. When
-        #: set (``sanitize=True`` runs), every completed :meth:`step` is
-        #: replayed on an inline shadow dataflow and the per-superstep
-        #: trace frames are diffed; ``None`` costs one ``is None`` test.
-        self.sanitizer = None
         self.root = Scope(self, None)
         self._ops_by_scope: Dict[Scope, List[Operator]] = {self.root: []}
         self._op_count = 0
@@ -173,8 +155,6 @@ class Dataflow:
         if self.budget is not None:
             self.budget.start()
         self._frozen = True
-        if self.backend == "process" and self.cluster is None:
-            self._start_cluster()
         self.epoch += 1
         time = (self.epoch,)
         tracer = self.tracer
@@ -213,39 +193,9 @@ class Dataflow:
             self.meter.end_step()
             self.enforce_budget(f"epoch {self.epoch}")
             if not self._has_pending(subtree, time):
-                if self.sanitizer is not None:
-                    self.sanitizer.after_step(self, input_diffs)
                 return self.epoch
         raise DataflowError(
             f"dataflow failed to quiesce at epoch {self.epoch}")
-
-    def _start_cluster(self) -> None:
-        """Fork the worker processes (process backend, first step only).
-
-        Deferred to the first step so the fork copies the *complete* frozen
-        operator graph — including user closures, which could never be
-        pickled — while every keyed trace is still empty. From here on the
-        coordinator's copies of keyed traces stay empty: resident state
-        accumulates only on the owning workers, so memory is genuinely
-        sharded.
-        """
-        from repro.differential.operators.arrange import (
-            ArrangeOp,
-            JoinArrangedOp,
-        )
-        from repro.differential.operators.iterate import VariableOp
-        from repro.differential.operators.join import JoinOp
-        from repro.differential.operators.reduce import ReduceOp
-
-        registry = {}
-        for ops in self._ops_by_scope.values():
-            for op in ops:
-                if isinstance(op, (JoinOp, JoinArrangedOp, ReduceOp,
-                                   VariableOp, ArrangeOp)):
-                    registry[op.index] = op
-        self.cluster = ProcessCluster(
-            self.meter.workers, registry,
-            superstep=lambda: self.meter.supersteps)
 
     def compact(self, before_epoch: int) -> None:
         """Compact every trace's history below ``before_epoch``.
@@ -258,11 +208,6 @@ class Dataflow:
         not with the total number of epochs ever streamed. The bound is
         clamped to the last completed epoch; re-running at an
         already-applied bound is cheap (per-trace guards).
-
-        On the process backend the keyed traces live in the worker
-        processes, so the bound is also broadcast to the cluster; the
-        coordinator still compacts captures and any inline-resident
-        traces.
         """
         bound = min(before_epoch, self.epoch)
         if bound <= 0:
@@ -270,24 +215,6 @@ class Dataflow:
         for ops in self._ops_by_scope.values():
             for op in ops:
                 op.compact_below(bound)
-        if self.cluster is not None:
-            self.cluster.compact(bound)
-        if self.sanitizer is not None:
-            self.sanitizer.compact(before_epoch)
-
-    def close(self) -> None:
-        """Release backend resources (worker processes). Idempotent.
-
-        A no-op on the inline backend. The executor and the serving layer
-        call this whenever a dataflow is discarded; daemonic workers are
-        the backstop for paths that do not.
-        """
-        cluster, self.cluster = self.cluster, None
-        if cluster is not None:
-            cluster.close()
-        sanitizer, self.sanitizer = self.sanitizer, None
-        if sanitizer is not None:
-            sanitizer.close()
 
     def set_budget(self, budget) -> None:
         """Attach (or with ``None`` detach) a budget to a live dataflow.

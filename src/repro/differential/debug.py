@@ -168,23 +168,13 @@ def _operator_traces(op: Operator):
 def operator_record_counts(dataflow: Dataflow) -> Dict[str, int]:
     """Stored trace entries per operator (shared arrangements counted once,
     at their ``ArrangeOp``). Feeds ``explain``'s trace-memory report.
-
-    On the process backend keyed traces live on the worker processes, so
-    the counts are gathered over the exchange channels (each operator's
-    ``remote_stats`` mirrors the trace selection below) and summed across
-    workers.
     """
     counts: Dict[str, int] = {}
-    cluster = getattr(dataflow, "cluster", None)
-    remote = cluster.stats() if cluster is not None else None
     for ops in _scope_ops(dataflow).values():
         for op in ops:
             traces = _operator_traces(op)
             if traces:
-                if remote is not None:
-                    counts[op.name] = remote.get(op.index, 0)
-                else:
-                    counts[op.name] = sum(t.record_count() for t in traces)
+                counts[op.name] = sum(t.record_count() for t in traces)
     return counts
 
 

@@ -42,32 +42,13 @@ class ArrangeOp(Operator):
                 grouped[key] = {value: mult}
             else:
                 slot[value] = slot.get(value, 0) + mult
-        cluster = self.dataflow.cluster
-        if cluster is None:
-            self.trace.update_batch(time, grouped)
-        else:
-            # Route each key's update to its owning worker. FIFO pipes
-            # guarantee it lands before the probe tasks the forwarded diff
-            # triggers downstream, preserving exactly-once pairing.
-            cluster.post_updates(self.index, "arrange", time, grouped)
+        self.trace.update_batch(time, grouped)
         # Deliberately unmetered: the cost model charges index maintenance
         # at the joins that read a trace, so a dataflow using one shared
         # arrangement reports the same total_work/parallel_time as the
         # same dataflow with private per-join traces. Sharing shows up as
         # memory (record_count) and wall clock, not as model work.
         self.send(time, diff)
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_update(self, payload) -> None:
-        _tag, time, grouped = payload
-        self.trace.update_batch(time, grouped)
-
-    def remote_task(self, payload):
-        raise AssertionError("arrange has no per-key tasks")
-
-    def remote_stats(self) -> int:
-        return self.trace.record_count()
 
     def local_traces(self):
         return (self.trace,)
@@ -108,7 +89,6 @@ class JoinArrangedOp(Operator):
         self.left_trace = Trace(name + ".left")
 
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
-        meter = self.dataflow.meter
         grouped: Dict[Any, Diff] = {}
         for rec, mult in diff.items():
             try:
@@ -124,28 +104,15 @@ class JoinArrangedOp(Operator):
             else:
                 slot[value] = slot.get(value, 0) + mult
         outputs: Dict[Time, Diff] = {}
-        cluster = self.dataflow.cluster
-        record = meter.record
-        if cluster is None:
-            for key, values in grouped.items():
-                self._probe_key(port, time, key, values, record, outputs)
-        else:
-            replies = cluster.run_tasks(self.index, ("delta", port, time),
-                                        grouped.items())
-            for key in grouped:
-                events, key_outputs = replies[key]
-                for units in events:
-                    record(key, units)
-                for out_time, emitted in key_outputs.items():
-                    slot = outputs.setdefault(out_time, {})
-                    for rec, mult in emitted.items():
-                        slot[rec] = slot.get(rec, 0) + mult
+        record = self.dataflow.meter.record
+        for key, values in grouped.items():
+            self._probe_key(port, time, key, values, record, outputs)
         for out_time in sorted(outputs):
             self.send(out_time, consolidate(outputs[out_time]))
 
     def _probe_key(self, port: int, time: Time, key: Any, values: Diff,
                    record, outputs: Dict[Time, Diff]) -> None:
-        """Per-key probe kernel (runs on the key's owner)."""
+        """Per-key probe kernel; ``record`` is the meter's hook."""
         f = self.f
         epoch = time[0]
         tlen = len(time)
@@ -195,23 +162,6 @@ class JoinArrangedOp(Operator):
                         slot[out] = slot.get(out, 0) + mult * m2
             if pairs:
                 record(key, pairs * len(values))
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_task(self, payload):
-        (_kind, port, time), items = payload
-        out = {}
-        for key, values in items:
-            events = []
-            key_outputs: Dict[Time, Diff] = {}
-            self._probe_key(port, time, key, values,
-                            lambda _key, units: events.append(units),
-                            key_outputs)
-            out[key] = (tuple(events), key_outputs)
-        return out
-
-    def remote_stats(self) -> int:
-        return self.left_trace.record_count()
 
     def local_traces(self):
         # The arranged side is owned (and compacted) by its ArrangeOp.

@@ -80,11 +80,7 @@ class VariableOp(Operator):
         time = parent_time + (0,)
         switch = parent_time + (1,)
         grouped = self._group(diff)
-        cluster = self.dataflow.cluster
-        if cluster is None:
-            self.in_trace.update_batch(time, grouped)
-        else:
-            cluster.post_updates(self.index, "in", time, grouped)
+        self.in_trace.update_batch(time, grouped)
         schedule = self.schedule.schedule
         for key in grouped:
             schedule(key, time)
@@ -99,11 +95,7 @@ class VariableOp(Operator):
             raise AssertionError("variable body deltas arrive on port 1")
         shifted = time[:-1] + (time[-1] + 1,)
         grouped = self._group(diff)
-        cluster = self.dataflow.cluster
-        if cluster is None:
-            self.body_trace.update_batch(time, grouped)
-        else:
-            cluster.post_updates(self.index, "body", time, grouped)
+        self.body_trace.update_batch(time, grouped)
         schedule = self.schedule.schedule
         for key in grouped:
             schedule(key, shifted)
@@ -130,30 +122,17 @@ class VariableOp(Operator):
         keys = self.schedule.tasks_at(time)
         if not keys:
             return
-        meter = self.dataflow.meter
-        cluster = self.dataflow.cluster
+        record = self.dataflow.meter.record
         out_diff: Diff = {}
-        if cluster is None:
-            for key in keys:
-                emit = self._flush_key(key, time, meter.record)
-                for value, mult in emit.items():
-                    rec = (key, value)
-                    out_diff[rec] = out_diff.get(rec, 0) + mult
-        else:
-            ordered = list(keys)
-            replies = cluster.run_tasks(self.index, ("flush", time),
-                                        [(key, None) for key in ordered])
-            for key in ordered:
-                events, emit = replies[key]
-                for units in events:
-                    meter.record(key, units)
-                for value, mult in emit.items():
-                    rec = (key, value)
-                    out_diff[rec] = out_diff.get(rec, 0) + mult
+        for key in keys:
+            emit = self._flush_key(key, time, record)
+            for value, mult in emit.items():
+                rec = (key, value)
+                out_diff[rec] = out_diff.get(rec, 0) + mult
         self.send(time, consolidate(out_diff))
 
     def _flush_key(self, key: Any, time: Time, record) -> Diff:
-        """Per-key loop-variable kernel (runs on the key's owner)."""
+        """Per-key loop-variable kernel; ``record`` is the meter's hook."""
         iteration = time[-1]
         epoch = time[0]
         self.in_trace.maybe_compact(key, epoch)
@@ -178,30 +157,6 @@ class VariableOp(Operator):
         if emit:
             record(key, len(emit))
         return emit
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_update(self, payload) -> None:
-        tag, time, grouped = payload
-        if tag == "in":
-            self.in_trace.update_batch(time, grouped)
-        else:
-            self.body_trace.update_batch(time, grouped)
-
-    def remote_task(self, payload):
-        (_kind, time), items = payload
-        out = {}
-        for key, _none in items:
-            events: List[int] = []
-            emit = self._flush_key(key, time,
-                                   lambda _key, units: events.append(units))
-            out[key] = (tuple(events), emit)
-        return out
-
-    def remote_stats(self) -> int:
-        return (self.in_trace.record_count()
-                + self.body_trace.record_count()
-                + self.out_trace.record_count())
 
     def local_traces(self):
         return (self.in_trace, self.body_trace, self.out_trace)

@@ -14,16 +14,13 @@ neither input carries a difference (cf. the Bellman-Ford trace in the
 paper's Table 1).
 
 The per-key work — trace update, compaction probe, pairing — lives in
-:meth:`JoinOp._join_key`, a kernel that runs in-process on the inline
-backend and on the key's owning worker on the process backend (see
-``docs/parallel.md``). The kernel reports its meter events through a
-callback so the coordinator can replay them in original key order,
-keeping counters byte-identical across backends.
+:meth:`JoinOp._join_key`, which the batched ``on_delta`` calls once per
+key in arrival order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict
 
 from repro.differential.multiset import Diff, consolidate
 from repro.differential.operators.base import Operator
@@ -60,29 +57,16 @@ class JoinOp(Operator):
             else:
                 slot[value] = slot.get(value, 0) + mult
         outputs: Dict[Time, Diff] = {}
-        cluster = self.dataflow.cluster
         record = self.dataflow.meter.record
-        if cluster is None:
-            for key, values in grouped.items():
-                self._join_key(port, time, key, values, record, outputs)
-        else:
-            replies = cluster.run_tasks(self.index, ("delta", port, time),
-                                        grouped.items())
-            for key in grouped:
-                events, key_outputs = replies[key]
-                for units in events:
-                    record(key, units)
-                for out_time, emitted in key_outputs.items():
-                    slot = outputs.setdefault(out_time, {})
-                    for rec, mult in emitted.items():
-                        slot[rec] = slot.get(rec, 0) + mult
+        for key, values in grouped.items():
+            self._join_key(port, time, key, values, record, outputs)
         for out_time in sorted(outputs):
             self.send(out_time, consolidate(outputs[out_time]))
 
     def _join_key(self, port: int, time: Time, key: Any, values: Diff,
                   record: Callable[[Any, int], None],
                   outputs: Dict[Time, Diff]) -> None:
-        """Per-key join kernel (runs on the key's owner)."""
+        """Per-key join kernel; ``record`` is the meter's hook."""
         mine = self.traces[port]
         other = self.traces[1 - port]
         f = self.f
@@ -113,23 +97,6 @@ class JoinOp(Operator):
                         slot[out] = slot.get(out, 0) + mult * m2
         if pairs:
             record(key, pairs * len(values))
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_task(self, payload) -> Dict[Any, Tuple[tuple, Dict]]:
-        (_kind, port, time), items = payload
-        out: Dict[Any, Tuple[tuple, Dict]] = {}
-        for key, values in items:
-            events: List[int] = []
-            key_outputs: Dict[Time, Diff] = {}
-            self._join_key(port, time, key, values,
-                           lambda _key, units: events.append(units),
-                           key_outputs)
-            out[key] = (tuple(events), key_outputs)
-        return out
-
-    def remote_stats(self) -> int:
-        return sum(trace.record_count() for trace in self.traces)
 
     def local_traces(self):
         return self.traces

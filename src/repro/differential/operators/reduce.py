@@ -9,7 +9,7 @@ differential computation provides across the views of a collection.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable
 
 from repro.differential.multiset import Diff, add_into, consolidate
 from repro.differential.operators.base import Operator
@@ -52,15 +52,7 @@ class ReduceOp(Operator):
                 grouped[key] = {value: mult}
             else:
                 slot[value] = slot.get(value, 0) + mult
-        cluster = self.dataflow.cluster
-        if cluster is None:
-            self.in_trace.update_batch(time, grouped)
-        else:
-            # Keyed state lives on the key's owning worker; the schedule
-            # stays on the coordinator so pass structure is backend
-            # independent. Pipes are FIFO, so this update lands before any
-            # flush task that reads it.
-            cluster.post_updates(self.index, "in", time, grouped)
+        self.in_trace.update_batch(time, grouped)
         schedule = self.schedule.schedule
         for key in grouped:
             schedule(key, time)
@@ -69,31 +61,18 @@ class ReduceOp(Operator):
         keys = self.schedule.tasks_at(time)
         if not keys:
             return
-        meter = self.dataflow.meter
-        cluster = self.dataflow.cluster
+        record = self.dataflow.meter.record
         out_diff: Diff = {}
-        if cluster is None:
-            for key in keys:
-                emit = self._flush_key(key, time, meter.record)
-                for value, mult in emit.items():
-                    rec = (key, value)
-                    out_diff[rec] = out_diff.get(rec, 0) + mult
-        else:
-            ordered = list(keys)
-            replies = cluster.run_tasks(self.index, ("flush", time),
-                                        [(key, None) for key in ordered])
-            for key in ordered:
-                events, emit = replies[key]
-                for units in events:
-                    meter.record(key, units)
-                for value, mult in emit.items():
-                    rec = (key, value)
-                    out_diff[rec] = out_diff.get(rec, 0) + mult
+        for key in keys:
+            emit = self._flush_key(key, time, record)
+            for value, mult in emit.items():
+                rec = (key, value)
+                out_diff[rec] = out_diff.get(rec, 0) + mult
         self.send(time, consolidate(out_diff))
 
     def _flush_key(self, key: Any, time: Time,
                    record: Callable[[Any, int], None]) -> Diff:
-        """Per-key reduction kernel (runs on the key's owner)."""
+        """Per-key reduction kernel; ``record`` is the meter's hook."""
         epoch = time[0]
         self.in_trace.maybe_compact(key, epoch)
         self.out_trace.maybe_compact(key, epoch)
@@ -125,25 +104,6 @@ class ReduceOp(Operator):
         if emit:
             record(key, len(emit))
         return emit
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_update(self, payload) -> None:
-        _tag, time, grouped = payload
-        self.in_trace.update_batch(time, grouped)
-
-    def remote_task(self, payload) -> Dict[Any, Tuple[tuple, Diff]]:
-        (_kind, time), items = payload
-        out: Dict[Any, Tuple[tuple, Diff]] = {}
-        for key, _none in items:
-            events: List[int] = []
-            emit = self._flush_key(key, time,
-                                   lambda _key, units: events.append(units))
-            out[key] = (tuple(events), emit)
-        return out
-
-    def remote_stats(self) -> int:
-        return self.in_trace.record_count() + self.out_trace.record_count()
 
     def local_traces(self):
         return (self.in_trace, self.out_trace)

@@ -380,6 +380,3 @@ class TimeSchedule:
     def pending_times(self) -> Iterable[Time]:
         return self._agenda.keys()
 
-    def has_pending(self) -> bool:
-        return bool(self._agenda)
-

@@ -110,60 +110,6 @@ class DataflowError(GraphsurgeError):
     code = "dataflow"
 
 
-class WorkerFailedError(DataflowError):
-    """A process-backend worker died or stopped responding mid-superstep.
-
-    Carries the worker index and the superstep at which the coordinator
-    detected the failure, so operators and tests can tell *which* shard
-    went down and *when*. The coordinator never hangs on a dead worker:
-    detection is bounded by the cluster's poll/join timeouts (see
-    :mod:`repro.timely.cluster`).
-    """
-
-    code = "worker-failed"
-
-    def __init__(self, worker: int, superstep: int, detail: str = ""):
-        self.worker = worker
-        self.superstep = superstep
-        self.detail = detail
-        message = (f"worker {worker} failed during superstep {superstep}")
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
-
-    def payload_context(self) -> Dict[str, Any]:
-        return {"worker": self.worker, "superstep": self.superstep}
-
-
-class SanitizerError(DataflowError):
-    """The shadow sanitizer observed inline/process divergence.
-
-    Raised by a ``sanitize=True`` run at the *first* superstep whose
-    metered trace frames (or captured output diffs) differ between the
-    process-backend primary and its inline shadow. Carries the divergent
-    ``(operator, timestamp, shard)`` address so the offending kernel is
-    named directly instead of surfacing as a wrong final answer.
-    """
-
-    code = "sanitizer"
-
-    def __init__(self, operator: str, timestamp, shard, detail: str = ""):
-        self.operator = operator
-        self.timestamp = timestamp
-        self.shard = shard
-        self.detail = detail
-        message = (f"backends diverged at operator {operator}, "
-                   f"timestamp {timestamp}, shard {shard}")
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
-
-    def payload_context(self) -> Dict[str, Any]:
-        return {"operator": self.operator,
-                "timestamp": list(self.timestamp or ()),
-                "shard": self.shard}
-
-
 class ComputationError(GraphsurgeError):
     """A user analytics computation misbehaved (bad records, wrong shape)."""
 

@@ -6,7 +6,7 @@ how big was the batch, how much model work did absorbing it cost, how
 large was the emitted result delta, and how long did the step take on
 the wall clock. The work figures come off the deterministic
 :class:`~repro.timely.meter.WorkMeter` and are byte-reproducible across
-runs and backends; wall-clock latency is real time and is reported but
+runs; wall-clock latency is real time and is reported but
 never part of any equality invariant.
 """
 

@@ -113,24 +113,12 @@ class ResultCache:
             self.stats.evictions += 1
         return entry
 
-    def invalidate_all(self) -> int:
-        """Drop every entry (used on checkpoint-restore mismatch)."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        self._locks.clear()
-        return dropped
-
     def lock_for(self, key: str) -> asyncio.Lock:
         """The single-flight lock serializing fills of ``key``."""
         lock = self._locks.get(key)
         if lock is None:
             lock = self._locks[key] = asyncio.Lock()
         return lock
-
-    def fills_for(self, key: str) -> int:
-        """How many times ``key`` has been (re)filled — 0 if absent."""
-        entry = self._entries.get(key)
-        return entry.fills if entry is not None else 0
 
     def to_payload(self) -> Dict[str, Any]:
         return {"entries": len(self._entries),

@@ -77,8 +77,7 @@ class ServerLifecycle:
         checkpointed = None
         if self.checkpoint_path is not None:
             checkpointed = self.session.checkpoint(self.checkpoint_path)
-        # Tear down resident dataflows — with the process backend these
-        # hold live worker children that must not outlive the daemon.
+        # Drop resident dataflows and close any open stream journal.
         self.session.close()
         self.state = ServerState.STOPPED
         return {

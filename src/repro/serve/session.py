@@ -158,11 +158,9 @@ class ResidentDataflow:
     """
 
     def __init__(self, computation: GraphComputation, workers: int = 1,
-                 fault_plan: Optional[FaultPlan] = None,
-                 backend: str = "inline"):
+                 fault_plan: Optional[FaultPlan] = None):
         self.computation = computation
         self.workers = workers
-        self.backend = backend
         self.fault_plan = fault_plan
         self.current: Diff = {}
         self.dataflow: Optional[Dataflow] = None
@@ -177,8 +175,7 @@ class ResidentDataflow:
 
     def _build(self) -> None:
         dataflow = Dataflow(workers=self.workers,
-                            fault_plan=self.fault_plan,
-                            backend=self.backend)
+                            fault_plan=self.fault_plan)
         edges = dataflow.new_input("edges")
         result = self.computation.build(dataflow, edges)
         self.capture = dataflow.capture(result, "results")
@@ -188,16 +185,10 @@ class ResidentDataflow:
         self.rebuilds += 1
 
     def poison(self) -> None:
-        # Detach state *before* closing: close() may itself fail (e.g. a
-        # wedged worker cluster), and the resident must not keep serving
-        # off a half-closed dataflow in that case.
-        dataflow, self.dataflow = self.dataflow, None
+        self.dataflow = None
         self.capture = None
         self.current = {}
         self._stepped = False
-        if dataflow is not None:
-            # Release the resident worker processes (process backend).
-            dataflow.close()
 
     def advance(self, target: Diff, budget: Optional[RunBudget] = None,
                 tracer: Optional[TraceSink] = None
@@ -305,13 +296,10 @@ class ServeSession:
 
     def __init__(self, system: Optional[Graphsurge] = None,
                  workers: int = 1,
-                 fault_plan: Optional[FaultPlan] = None,
-                 backend: Optional[str] = None):
+                 fault_plan: Optional[FaultPlan] = None):
         self.gs = system if system is not None else Graphsurge(
             workers=workers)
         self.workers = self.gs.workers
-        self.backend = (backend if backend is not None
-                        else getattr(self.gs, "backend", "inline"))
         self.fault_plan = fault_plan
         #: Bumped by every mutation; tags cache entries and responses.
         self.epoch = 0
@@ -368,8 +356,7 @@ class ServeSession:
         resident = self._residents.get(signature)
         if resident is None:
             resident = ResidentDataflow(computation, workers=self.workers,
-                                        fault_plan=self.fault_plan,
-                                        backend=self.backend)
+                                        fault_plan=self.fault_plan)
             self._residents[signature] = resident
         return resident
 
@@ -436,11 +423,11 @@ class ServeSession:
         }
 
     def close(self) -> None:
-        """Release every resident dataflow (and its worker cluster).
+        """Drop every resident dataflow and close the stream session.
 
-        Idempotent. The serve lifecycle calls this after the drain so
-        process-backend worker children are torn down deterministically
-        instead of leaking past the daemon's exit.
+        Idempotent. The serve lifecycle calls this after the drain so an
+        open stream journal is flushed and closed before the daemon
+        exits.
         """
         for resident in self._residents.values():
             resident.poison()
@@ -469,7 +456,7 @@ class ServeSession:
                 "a stream session is already open; close it first")
         base = self.gs.resolve(graph) if graph else None
         engine = StreamEngine(
-            base, workers=self.workers, backend=self.backend,
+            base, workers=self.workers,
             weight_property=self.gs.weight_property,
             fault_plan=self.fault_plan)
         try:
@@ -543,7 +530,6 @@ class ServeSession:
             "epoch": self.epoch,
             "journal_entries": len(self.journal),
             "workers": self.workers,
-            "backend": self.backend,
         }
 
     # -- checkpoint / restore --------------------------------------------------

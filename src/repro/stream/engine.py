@@ -16,7 +16,7 @@ views are the stream's prefixes.
 Memory stays bounded through frontier-driven trace compaction
 (:meth:`repro.differential.dataflow.Dataflow.compact`): every
 ``compact_every`` epochs, history older than ``keep_epochs`` epochs
-folds into epoch-0 representatives, on both backends.
+folds into epoch-0 representatives.
 
 Durability uses the PR 1 journal format: the engine appends each
 ingested batch to a checkpoint journal; :meth:`StreamEngine.resume`
@@ -65,15 +65,14 @@ class ContinuousQuery:
     """One registered algorithm kept continuously maintained."""
 
     def __init__(self, name: str, params: Dict[str, Any],
-                 workers: int, backend: str,
+                 workers: int,
                  fault_plan: Optional[FaultPlan] = None):
         self.name = str(name).lower()
         self.params = dict(params or {})
         self.signature = computation_signature(name, self.params)
         self.computation = build_request_computation(name, self.params)
         self.resident = ResidentDataflow(
-            self.computation, workers=workers,
-            fault_plan=fault_plan, backend=backend)
+            self.computation, workers=workers, fault_plan=fault_plan)
 
 
 class EpochResult:
@@ -111,12 +110,10 @@ class StreamEngine:
     JOURNAL_KIND = "stream-session"
 
     def __init__(self, graph=None, workers: int = 1,
-                 backend: str = "inline",
                  weight_property: Optional[str] = None,
                  compact_every: int = 8, keep_epochs: int = 4,
                  fault_plan: Optional[FaultPlan] = None):
         self.workers = workers
-        self.backend = backend
         self.weight_property = weight_property
         self.compact_every = int(compact_every)
         self.keep_epochs = max(1, int(keep_epochs))
@@ -146,8 +143,7 @@ class StreamEngine:
         mid-stream starts from the live graph, not from empty.
 
         Registration gates on the static analyzer's stream-maintainability
-        pass (``GS-M4xx`` — retraction and compaction hazards; plus the
-        shard-safety pass on the process backend): a plan with
+        pass (``GS-M4xx`` — retraction and compaction hazards): a plan with
         ERROR-severity findings raises
         :class:`repro.errors.AnalysisError` *before* any dataflow is
         seeded, so a continuous query that would leak memory or corrupt
@@ -157,13 +153,12 @@ class StreamEngine:
         from repro.errors import AnalysisError
 
         query = ContinuousQuery(name, params or {}, self.workers,
-                                self.backend, self.fault_plan)
+                                self.fault_plan)
         if query.signature in self.queries:
             raise RequestError(
                 f"query {query.signature} is already registered")
         report = analyze_computation(
-            query.computation, workers=self.workers, stream=True,
-            concurrency=(self.backend == "process"))
+            query.computation, workers=self.workers, stream=True)
         if not report.ok:
             raise AnalysisError(report)
         query.resident.advance(
@@ -276,7 +271,6 @@ class StreamEngine:
             "live_edges": sum(self.edges.values()),
             "queries": sorted(self.queries),
             "workers": self.workers,
-            "backend": self.backend,
             "meter": self.meter.summary(),
         }
 
@@ -308,15 +302,13 @@ class StreamEngine:
             "queries": [[query.name, query.params]
                         for _sig, query in sorted(self.queries.items())],
             "workers": self.workers,
-            "backend": self.backend,
             "weight_property": self.weight_property,
             "compact_every": self.compact_every,
             "keep_epochs": self.keep_epochs,
         }
 
     @classmethod
-    def resume(cls, path, graph=None,
-               backend: Optional[str] = None) -> "StreamEngine":
+    def resume(cls, path, graph=None) -> "StreamEngine":
         """Rebuild a streamed session from its journal, then continue it.
 
         Registers the header's queries against ``graph`` (the same base
@@ -324,9 +316,8 @@ class StreamEngine:
         batch as one epoch each — deterministic, so outputs and meter
         figures are byte-identical to the original run's — and reopens
         the journal for appending. A torn final line (killed mid-write)
-        is dropped, exactly like run checkpoints. ``backend`` overrides
-        the journaled backend (the cross-backend equivalence the fuzzer
-        checks makes this safe).
+        is dropped, exactly like run checkpoints. Journals written by
+        older versions carry a ``"backend"`` header field; it is ignored.
         """
         state = load_checkpoint(path)
         if state is None:
@@ -338,8 +329,6 @@ class StreamEngine:
         engine = cls(
             graph,
             workers=int(state.header.get("workers", 1)),
-            backend=(backend if backend is not None
-                     else state.header.get("backend", "inline")),
             weight_property=state.header.get("weight_property"),
             compact_every=int(state.header.get("compact_every", 8)),
             keep_epochs=int(state.header.get("keep_epochs", 4)))
@@ -353,7 +342,7 @@ class StreamEngine:
         return engine
 
     def close(self) -> None:
-        """Release every resident dataflow and the journal. Idempotent."""
+        """Drop every resident dataflow and close the journal. Idempotent."""
         for query in self.queries.values():
             query.resident.poison()
         writer, self._writer = self._writer, None

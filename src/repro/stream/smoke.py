@@ -1,22 +1,18 @@
 """End-to-end smoke test for streaming (``python -m repro.stream.smoke``).
 
-Drives a 60-epoch seeded churn stream through the engine and asserts the
-contract docs/streaming.md promises, on both execution backends at the
-same worker count:
+Drives a 60-epoch seeded churn stream through the engine at two
+simulated workers and asserts the contract docs/streaming.md promises:
 
 1. **Per-epoch oracle equality** — after every ingested batch, each
    query's on-demand snapshot equals the plain-Python reference on the
    accumulated edge multiset (streaming is never approximate).
-2. **Backend byte-identity** — per-epoch output deltas and deterministic
-   meter figures (work, parallel time; never wall-clock latency) are
-   identical between the inline and process backends.
-3. **Incremental work** — the stream's total metered work is well under
+2. **Incremental work** — the stream's total metered work is well under
    what recomputing every epoch from scratch costs: per-epoch cost
    scales with the batch, not the graph.
-4. **Bounded memory** — with compaction on, the capture trace's distinct
+3. **Bounded memory** — with compaction on, the capture trace's distinct
    times stay bounded by the compaction window instead of growing with
    the epoch count.
-5. **Kill / resume** — a journaled stream killed mid-way and resumed
+4. **Kill / resume** — a journaled stream killed mid-way and resumed
    produces byte-identical per-epoch results and meter rows versus the
    run that never died.
 
@@ -65,8 +61,7 @@ def accumulated_triples(engine: StreamEngine):
             for _ in range(mult)]
 
 
-def run_stream(backend: str, journal=None, stop_after=None,
-               against_oracle=False):
+def run_stream(journal=None, stop_after=None, against_oracle=False):
     """Stream the churn batches; returns (per-epoch rows, scratch work).
 
     Rows carry everything deterministic: the rendered snapshot and
@@ -77,8 +72,7 @@ def run_stream(backend: str, journal=None, stop_after=None,
     """
     specs = {spec.name: spec for spec in resolve_algorithms(
         [name for name, _params in QUERIES])}
-    engine = StreamEngine(workers=WORKERS, backend=backend,
-                          compact_every=COMPACT_EVERY,
+    engine = StreamEngine(workers=WORKERS, compact_every=COMPACT_EVERY,
                           keep_epochs=KEEP_EPOCHS)
     rows = []
     scratch_work = 0
@@ -131,28 +125,18 @@ def run_stream(backend: str, journal=None, stop_after=None,
 
 def main() -> int:
     try:
-        inline_rows, scratch_work = run_stream("inline",
-                                               against_oracle=True)
-        check(len(inline_rows) == EPOCHS,
-              f"expected {EPOCHS} epochs, streamed {len(inline_rows)}")
-        streamed_work = sum(row["wcc"]["work"] for row in inline_rows)
+        rows, scratch_work = run_stream(against_oracle=True)
+        check(len(rows) == EPOCHS,
+              f"expected {EPOCHS} epochs, streamed {len(rows)}")
+        streamed_work = sum(row["wcc"]["work"] for row in rows)
         check(streamed_work * 2 < scratch_work,
               f"streaming wcc cost {streamed_work} work vs "
               f"{scratch_work} from scratch; per-epoch cost is not "
               f"scaling with the batch")
 
-        process_rows, _ = run_stream("process")
-        check(process_rows == inline_rows,
-              "inline and process backends diverged: first differing "
-              "epoch " + str(next(
-                  (i + 1 for i, (a, b) in
-                   enumerate(zip(inline_rows, process_rows)) if a != b),
-                  len(inline_rows))))
-
         with tempfile.TemporaryDirectory(prefix="stream-smoke-") as tmp:
             journal = Path(tmp) / "stream.ckpt"
-            interrupted, _ = run_stream("inline", journal=journal,
-                                        stop_after=KILL_AT)
+            interrupted, _ = run_stream(journal=journal, stop_after=KILL_AT)
             check(len(interrupted) == KILL_AT,
                   f"interrupted run streamed {len(interrupted)} epochs, "
                   f"expected {KILL_AT}")
@@ -179,17 +163,17 @@ def main() -> int:
                     resumed_rows.append(row)
             finally:
                 engine.close()
-            check(resumed_rows == inline_rows[KILL_AT:],
+            check(resumed_rows == rows[KILL_AT:],
                   f"killed-and-resumed stream diverged from the "
                   f"uninterrupted run after epoch {KILL_AT}")
     except SmokeFailure as failure:
         print("stream-smoke FAILED:", failure, file=sys.stderr)
         return 1
     print(f"stream-smoke OK: {EPOCHS} churn epochs, per-epoch oracle "
-          f"equality, inline/process byte-identity at {WORKERS} workers, "
-          f"incremental work ({streamed_work} streamed vs {scratch_work} "
-          f"from scratch), bounded capture traces, kill at epoch "
-          f"{KILL_AT} + resume byte-identical")
+          f"equality at {WORKERS} workers, incremental work "
+          f"({streamed_work} streamed vs {scratch_work} from scratch), "
+          f"bounded capture traces, kill at epoch {KILL_AT} + resume "
+          f"byte-identical")
     return 0
 
 

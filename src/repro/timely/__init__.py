@@ -1,4 +1,4 @@
-"""Timely-dataflow substrate: worker sharding, work metering, processes.
+"""Timely-dataflow substrate: worker sharding and work metering.
 
 The original Graphsurge runs on Timely Dataflow, which scales operators
 across workers by partitioning records on a key. This package provides the
@@ -9,12 +9,13 @@ execution-model pieces the differential engine builds on:
 * :class:`repro.timely.meter.WorkMeter` — per-worker, per-superstep work
   accounting used to compute *simulated parallel time*, the deterministic
   cost metric reported by the benchmark harness (see DESIGN.md §2.3/§2.4).
-* :mod:`repro.timely.cluster` — the ``process`` backend's forked workers
-  and exchange channels.
 
-There is no separate timely dataflow graph: every dataflow is a
-:mod:`repro.differential` dataflow, and the acyclic view-collection steps
-(EBM, ordering, difference stream) are direct code.
+Workers are simulated: every shard runs in this process and parallel time
+is modelled, not measured (``docs/engine.md``, "Workers", explains why
+there is no multi-process backend). There is no separate timely dataflow
+graph: every dataflow is a :mod:`repro.differential` dataflow, and the
+acyclic view-collection steps (EBM, ordering, difference stream) are
+direct code.
 """
 
 from repro.timely.meter import WorkMeter

@@ -21,10 +21,10 @@ def stable_hash(value: Any) -> int:
 
     Supports the record components used by the engine: ints, strings,
     booleans, floats, bytes, None, frozensets, and (nested) tuples
-    thereof. Exchange correctness for the process backend depends on this
-    being identical in every interpreter — never fall back to the salted
-    built-in ``hash``, and never depend on an iteration order that the
-    string hash seed can perturb (see the frozenset branch).
+    thereof. Simulated sharding, and with it ``parallel_time``, depends on
+    this being identical in every interpreter — never fall back to the
+    salted built-in ``hash``, and never depend on an iteration order that
+    the string hash seed can perturb (see the frozenset branch).
     """
     if isinstance(value, bool):
         return 0x9E3779B97F4A7C15 if value else 0x2545F4914F6CDD1D

@@ -23,11 +23,9 @@ from repro.verify.invariants import (
     check_checkpoint,
     check_oracle,
     check_permutation,
-    check_sanitize,
     check_tracing,
     check_workers,
 )
-from repro.verify.sanitize import ShadowSanitizer, attach_shadow
 from repro.verify.oracles import (
     ALGORITHMS,
     AlgorithmSpec,
@@ -57,17 +55,14 @@ __all__ = [
     "Mismatch",
     "REPRO_FORMAT",
     "ReproFile",
-    "ShadowSanitizer",
     "ShrinkResult",
     "algorithm_names",
-    "attach_shadow",
     "build_check",
     "canonical_diff",
     "check_analysis",
     "check_checkpoint",
     "check_oracle",
     "check_permutation",
-    "check_sanitize",
     "check_tracing",
     "check_workers",
     "describe_map_mismatch",

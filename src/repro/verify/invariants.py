@@ -14,10 +14,6 @@ Invariants:
   equals the plain-Python reference on that view's full edge list.
 * **workers** — per-view outputs and total work are identical across
   simulated worker counts (sharding changes parallel time only).
-* **backend** — per-view outputs and *both* metered counters are
-  byte-identical between the inline and process execution backends
-  (see ``docs/parallel.md``): moving shards onto real OS processes is
-  purely an execution-strategy change.
 * **permutation** — running the ordering optimizer's permuted collection
   yields the same output per view *name*.
 * **checkpoint** — kill the run at a view boundary via
@@ -32,12 +28,7 @@ Invariants:
 * **stream** — driving the collection's difference sets through the
   streaming engine (:mod:`repro.stream`) one batch per epoch yields, at
   *every* epoch, exactly the from-scratch result on the accumulated
-  edges — and the per-epoch outputs and meter rows are byte-identical
-  across the inline and process backends.
-* **sanitize** — a ``sanitize=True`` process-backend run (the shadow
-  sanitizer, :mod:`repro.verify.sanitize`) of a clean plan never fires
-  and leaves outputs and both metered counters byte-identical to an
-  unsanitized process run: the shadow observes, never perturbs.
+  edges.
 """
 
 from __future__ import annotations
@@ -63,8 +54,8 @@ from repro.verify.oracles import (
 )
 
 #: Invariant names understood by :func:`build_check` / the repro replayer.
-INVARIANTS = ("oracle", "workers", "backend", "permutation", "checkpoint",
-              "tracing", "analysis", "stream", "sanitize")
+INVARIANTS = ("oracle", "workers", "permutation", "checkpoint", "tracing",
+              "analysis", "stream")
 
 
 @dataclass
@@ -87,10 +78,8 @@ class Mismatch:
 
 def _run(collection: MaterializedCollection, spec: AlgorithmSpec,
          params: dict, mode: ExecutionMode, workers: int = 1,
-         tracer=None, backend: str = "inline", sanitize: bool = False,
-         **kwargs):
-    executor = AnalyticsExecutor(workers=workers, tracer=tracer,
-                                 backend=backend, sanitize=sanitize)
+         tracer=None, **kwargs):
+    executor = AnalyticsExecutor(workers=workers, tracer=tracer)
     return executor.run_on_collection(
         spec.computation(params), collection, mode=mode,
         keep_outputs=True, cost_metric="work", **kwargs)
@@ -150,48 +139,6 @@ def check_workers(collection: MaterializedCollection, spec: AlgorithmSpec,
                     "workers", spec.name,
                     f"outputs differ between workers={base_workers} and "
                     f"workers={workers}",
-                    view=collection.view_names[index], check=check)
-    return None
-
-
-# -- backend invariance ------------------------------------------------------
-
-
-def check_backends(collection: MaterializedCollection, spec: AlgorithmSpec,
-                   params: dict,
-                   backends: Sequence[str] = ("inline", "process"),
-                   workers: int = 2) -> Optional[Mismatch]:
-    """Inline and process backends are observationally identical.
-
-    Stronger than :func:`check_workers`: not just outputs and total work
-    but also ``total_parallel_time`` must match byte-for-byte, because
-    the process backend replays the workers' meter events on the
-    coordinator in the original order.
-    """
-    check = {"invariant": "backend", "backends": list(backends),
-             "workers": workers}
-    baseline = None
-    for backend in backends:
-        result = _run(collection, spec, params, ExecutionMode.DIFF_ONLY,
-                      workers=workers, backend=backend)
-        outputs = [canonical_diff(view.output) for view in result.views]
-        observed = (result.total_work, result.total_parallel_time)
-        if baseline is None:
-            baseline = (backend, outputs, observed)
-            continue
-        base_backend, base_outputs, base_observed = baseline
-        if observed != base_observed:
-            return Mismatch(
-                "backend", spec.name,
-                f"(work, parallel_time) {observed} with backend={backend} "
-                f"!= {base_observed} with backend={base_backend}",
-                check=check)
-        for index, (got, want) in enumerate(zip(outputs, base_outputs)):
-            if got != want:
-                return Mismatch(
-                    "backend", spec.name,
-                    f"outputs differ between backend={base_backend} and "
-                    f"backend={backend}",
                     view=collection.view_names[index], check=check)
     return None
 
@@ -365,120 +312,41 @@ def check_analysis(collection: MaterializedCollection, spec: AlgorithmSpec,
 
 
 def check_stream(collection: MaterializedCollection, spec: AlgorithmSpec,
-                 params: dict,
-                 backends: Sequence[str] = ("inline", "process"),
-                 workers: int = 2) -> Optional[Mismatch]:
-    """Streamed results equal from-scratch at every epoch, per backend.
+                 params: dict, workers: int = 2) -> Optional[Mismatch]:
+    """Streamed results equal from-scratch at every epoch.
 
     The collection's difference sets become a batch stream
     (:func:`repro.stream.source.batches_from_collection`); after the
     engine absorbs batch ``i``, its accumulated edges are view ``i``'s
     full edge multiset, so the on-demand snapshot must equal the plain
-    reference on that view's edge list. Across backends the per-epoch
-    output deltas and deterministic meter figures (work, parallel time —
-    never wall-clock latency) must match byte-for-byte at the same
-    worker count.
+    reference on that view's edge list.
     """
     from repro.stream import StreamEngine, batches_from_collection
 
-    check = {"invariant": "stream", "backends": list(backends),
-             "workers": workers}
+    check = {"invariant": "stream", "workers": workers}
     batches = batches_from_collection(collection)
     if not batches:
         return None
-    baseline = None
-    for backend in backends:
-        engine = StreamEngine(workers=workers, backend=backend)
-        try:
-            try:
-                signature = engine.register(spec.name, params)
-            except GraphsurgeError:
-                return None  # not servable as a continuous query; vacuous
-            snapshots = []
-            for index, batch in enumerate(batches):
-                engine.ingest(batch)
-                snapshot = engine.snapshot(signature)
-                want = spec.expected(view_edge_list(collection, index),
-                                     params)
-                detail = describe_map_mismatch(output_map(snapshot), want)
-                if detail is not None:
-                    return Mismatch(
-                        "stream", spec.name,
-                        f"epoch {engine.epoch} backend={backend}: {detail}",
-                        view=collection.view_names[index], check=check)
-                snapshots.append(canonical_diff(snapshot))
-            meter_rows = [(m.epoch, m.delta_records, m.output_delta_size,
-                           m.work, m.parallel_time)
-                          for m in engine.meter.epochs]
-        except GraphsurgeError as error:
-            return Mismatch(
-                "stream", spec.name,
-                f"backend={backend}: {type(error).__name__}: {error}",
-                check=check)
-        finally:
-            engine.close()
-        if baseline is None:
-            baseline = (backend, snapshots, meter_rows)
-            continue
-        base_backend, base_snapshots, base_rows = baseline
-        if meter_rows != base_rows:
-            first = next((i for i, (got, want)
-                          in enumerate(zip(meter_rows, base_rows))
-                          if got != want), len(base_rows))
-            return Mismatch(
-                "stream", spec.name,
-                f"per-epoch meter rows diverge at epoch {first + 1} "
-                f"between backend={base_backend} and backend={backend}",
-                check=check)
-        if snapshots != base_snapshots:
-            return Mismatch(
-                "stream", spec.name,
-                f"per-epoch snapshots differ between "
-                f"backend={base_backend} and backend={backend}",
-                check=check)
-    return None
-
-
-# -- shadow sanitizer --------------------------------------------------------
-
-
-def check_sanitize(collection: MaterializedCollection, spec: AlgorithmSpec,
-                   params: dict, workers: int = 2) -> Optional[Mismatch]:
-    """The shadow sanitizer observes, never fires, never perturbs.
-
-    A ``sanitize=True`` run of an analyzer-clean plan on the process
-    backend must complete without :class:`~repro.errors.SanitizerError`
-    (the backends really are observationally equal, so the shadow diff
-    finds nothing) and must leave per-view outputs, ``total_work``, and
-    ``parallel_time`` byte-identical to an unsanitized process run — the
-    shadow executes on its own meter and trace sinks.
-    """
-    from repro.errors import SanitizerError
-
-    check = {"invariant": "sanitize", "workers": workers}
-    plain = _run(collection, spec, params, ExecutionMode.DIFF_ONLY,
-                 workers=workers, backend="process")
+    engine = StreamEngine(workers=workers)
     try:
-        shadowed = _run(collection, spec, params, ExecutionMode.DIFF_ONLY,
-                        workers=workers, backend="process", sanitize=True)
-    except SanitizerError as error:
-        return Mismatch(
-            "sanitize", spec.name,
-            f"shadow sanitizer fired on a clean plan: {error}", check=check)
-    if (shadowed.total_work, shadowed.total_parallel_time) != \
-            (plain.total_work, plain.total_parallel_time):
-        return Mismatch(
-            "sanitize", spec.name,
-            f"counters changed under sanitize: work "
-            f"{plain.total_work}->{shadowed.total_work}, parallel time "
-            f"{plain.total_parallel_time}->{shadowed.total_parallel_time}",
-            check=check)
-    for index in range(collection.num_views):
-        if canonical_diff(plain.views[index].output) != \
-                canonical_diff(shadowed.views[index].output):
-            return Mismatch("sanitize", spec.name,
-                            "outputs changed under sanitize",
-                            view=collection.view_names[index], check=check)
+        try:
+            signature = engine.register(spec.name, params)
+        except GraphsurgeError:
+            return None  # not servable as a continuous query; vacuous
+        for index, batch in enumerate(batches):
+            engine.ingest(batch)
+            snapshot = engine.snapshot(signature)
+            want = spec.expected(view_edge_list(collection, index), params)
+            detail = describe_map_mismatch(output_map(snapshot), want)
+            if detail is not None:
+                return Mismatch(
+                    "stream", spec.name, f"epoch {engine.epoch}: {detail}",
+                    view=collection.view_names[index], check=check)
+    except GraphsurgeError as error:
+        return Mismatch("stream", spec.name,
+                        f"{type(error).__name__}: {error}", check=check)
+    finally:
+        engine.close()
     return None
 
 
@@ -498,11 +366,6 @@ def build_check(spec: AlgorithmSpec, params: dict, check: Dict[str, Any]
         counts = tuple(check.get("worker_counts", (1, 4)))
         return lambda collection: check_workers(collection, spec, params,
                                                 worker_counts=counts)
-    if invariant == "backend":
-        backends = tuple(check.get("backends", ("inline", "process")))
-        workers = int(check.get("workers", 2))
-        return lambda collection: check_backends(
-            collection, spec, params, backends=backends, workers=workers)
     if invariant == "permutation":
         seed = int(check.get("perm_seed", 0))
         method = check.get("order_method", "random")
@@ -519,13 +382,9 @@ def build_check(spec: AlgorithmSpec, params: dict, check: Dict[str, Any]
         return lambda collection: check_analysis(collection, spec, params,
                                                  perm_seed=seed)
     if invariant == "stream":
-        backends = tuple(check.get("backends", ("inline", "process")))
+        # Older repro files also carry a "backends" list; it is ignored.
         workers = int(check.get("workers", 2))
         return lambda collection: check_stream(
-            collection, spec, params, backends=backends, workers=workers)
-    if invariant == "sanitize":
-        workers = int(check.get("workers", 2))
-        return lambda collection: check_sanitize(
             collection, spec, params, workers=workers)
     raise GraphsurgeError(f"unknown invariant {invariant!r}; expected one "
                           f"of {INVARIANTS}")

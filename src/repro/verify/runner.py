@@ -2,12 +2,12 @@
 
 Per iteration the runner generates one seeded case, runs **every**
 selected algorithm under **every** :class:`ExecutionMode` against its
-oracle, then runs the metamorphic battery (worker invariance, backend
-invariance, view-order permutation, checkpoint/kill/resume, tracing
-on/off, static-analyzer stability, streaming equivalence, shadow
-sanitizer) for one rotating algorithm. The first violated check is
-shrunk to a minimal collection and written as a replayable repro file
-that also records the plan's analyzer findings.
+oracle, then runs the metamorphic battery (worker invariance,
+view-order permutation, checkpoint/kill/resume, tracing on/off,
+static-analyzer stability, streaming equivalence) for one rotating
+algorithm. The first violated check is shrunk to a minimal collection
+and written as a replayable repro file that also records the plan's
+analyzer findings.
 
 Deterministic end to end: ``FuzzConfig(seed=...)`` fixes the case
 stream, every sampled parameter, the kill sites, and the permutation
@@ -27,11 +27,9 @@ from repro.verify.invariants import (
     Mismatch,
     build_check,
     check_analysis,
-    check_backends,
     check_checkpoint,
     check_oracle,
     check_permutation,
-    check_sanitize,
     check_stream,
     check_tracing,
     check_workers,
@@ -55,8 +53,6 @@ class FuzzConfig:
     kinds: Optional[Sequence[str]] = None
     #: Worker counts compared by the worker-invariance check.
     worker_counts: Tuple[int, ...] = (1, 4)
-    #: Execution backends compared by the backend-invariance check.
-    backends: Tuple[str, ...] = ("inline", "process")
     #: Abort on the first mismatch (CI) or keep fuzzing (soak).
     stop_on_mismatch: bool = True
     #: Budget for the shrinker's greedy search.
@@ -139,8 +135,6 @@ def run_fuzz(config: FuzzConfig,
             battery = (
                 lambda: check_workers(case.collection, spec, params,
                                       worker_counts=config.worker_counts),
-                lambda: check_backends(case.collection, spec, params,
-                                       backends=config.backends),
                 lambda: check_permutation(case.collection, spec, params,
                                           perm_seed=rng.randrange(2 ** 16)),
                 lambda: check_checkpoint(
@@ -150,9 +144,7 @@ def run_fuzz(config: FuzzConfig,
                 lambda: check_tracing(case.collection, spec, params),
                 lambda: check_analysis(case.collection, spec, params,
                                        perm_seed=rng.randrange(2 ** 16)),
-                lambda: check_stream(case.collection, spec, params,
-                                     backends=config.backends),
-                lambda: check_sanitize(case.collection, spec, params),
+                lambda: check_stream(case.collection, spec, params),
             )
             for run_check in battery:
                 mismatch = run_check()

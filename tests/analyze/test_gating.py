@@ -98,9 +98,8 @@ class TestCorpus:
 
     def test_pack_plans_are_clean_under_every_pass(self):
         # The community & scoring pack (labelprop/ppr/ktruss/score) must
-        # stay finding-free even with the opt-in shard-safety and
-        # stream-maintainability passes enabled: these plans are run on
-        # the process backend and registered as continuous queries.
+        # stay finding-free even with the opt-in stream-maintainability
+        # pass enabled: these plans are registered as continuous queries.
         import random
 
         from repro.verify.oracles import ALGORITHMS
@@ -110,7 +109,7 @@ class TestCorpus:
             params = spec.sample_params(random.Random(7), list(range(8)))
             computation = spec.computation(params)
             report = analyze_computation(computation, workers=3,
-                                         concurrency=True, stream=True)
+                                         stream=True)
             assert not report.findings, f"{name}:\n{report.render()}"
 
     def test_corpus_includes_generated_plans(self):

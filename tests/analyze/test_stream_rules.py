@@ -6,6 +6,7 @@ every continuous query, which tests/stream covers end to end.
 """
 
 from repro.analyze import analyze
+from repro.analyze.stream import closure_bindings
 from repro.differential import Dataflow
 
 
@@ -190,6 +191,46 @@ class TestMaintainedCaptures:
 
         report = lint(lambda df, edges: edges.map(translate))
         assert "GS-M405" not in rules_of(report)
+
+
+#: A module global read by ``_reads_global`` below.
+GLOBAL_TABLE = {"a": 1}
+
+
+def _reads_global(rec):
+    return GLOBAL_TABLE.get(rec, 0)
+
+
+class TestClosureBindings:
+    """What GS-M405 sees as a callable's captured state."""
+
+    def test_closure_cells(self):
+        table = [1]
+
+        def read(rec):
+            return table[0] + rec
+
+        assert closure_bindings(read) == {"table": [1]}
+
+    def test_positional_and_keyword_defaults(self):
+        def read(rec, scale=2, *, offset=(1,)):
+            return rec * scale + offset[0]
+
+        assert closure_bindings(read) == {"scale": 2, "offset": (1,)}
+
+    def test_referenced_module_globals(self):
+        assert closure_bindings(_reads_global)["GLOBAL_TABLE"] is \
+            GLOBAL_TABLE
+
+    def test_names_inside_nested_code_objects(self):
+        def read(recs):
+            return [GLOBAL_TABLE.get(rec, 0) for rec in recs]
+
+        assert "GLOBAL_TABLE" in closure_bindings(read)
+
+    def test_non_function_callables_have_no_bindings(self):
+        assert closure_bindings(len) == {}
+        assert closure_bindings(str.upper) == {}
 
 
 class TestPassIsOptIn:

@@ -107,44 +107,19 @@ class TestRun:
         assert "Chrome trace" not in capsys.readouterr().out
 
 
-class TestBackendFlag:
-    def test_run_on_process_backend(self, graph_files, capsys):
-        argv = load_args(graph_files) + [
-            "--workers", "2", "--backend", "process", "run", "wcc", "g"]
-        assert main(argv) == 0
-        assert "WCC on g" in capsys.readouterr().out
+class TestRemovedOptions:
+    """Execution-backend options are gone; stale invocations fail loudly
+    at argument parsing instead of being silently ignored."""
 
-    def test_process_backend_matches_inline(self, graph_files, capsys):
-        def run(extra):
-            argv = load_args(graph_files) + extra + [
-                "--execute", "create view collection hist on g "
-                             "[a: year <= 2016], [b: year <= 2019]",
-                "run", "wcc", "hist", "--mode", "diff-only"]
-            assert main(argv) == 0
-            # Keep the deterministic columns (view, strategy, work);
-            # wall seconds legitimately differ between backends.
-            return [(line.split()[0], line.split()[1], line.split()[-2])
-                    for line in capsys.readouterr().out.splitlines()
-                    if line.strip().endswith("work")]
-
-        process = run(["--workers", "2", "--backend", "process"])
-        inline = run(["--workers", "2"])
-        assert process and process == inline
-
-    def test_process_backend_needs_two_workers(self, graph_files, capsys):
-        argv = load_args(graph_files) + ["--backend", "process",
-                                         "run", "wcc", "g"]
-        assert main(argv) == 1
-        assert "workers >= 2" in capsys.readouterr().err
-
-    def test_serve_flags_override_globals(self, graph_files, capsys):
-        # serve --backend process with the global default of one worker
-        # is invalid and must be refused at boot with a ConfigError —
-        # before any socket is bound.
-        argv = load_args(graph_files) + [
-            "serve", "--backend", "process"]
-        assert main(argv) == 1
-        assert "workers >= 2" in capsys.readouterr().err
+    @pytest.mark.parametrize("extra", [
+        ["--backend", "inline", "run", "wcc", "g"],
+        ["serve", "--backend", "inline"],
+    ], ids=["global", "serve"])
+    def test_backend_flag_rejected(self, graph_files, capsys, extra):
+        with pytest.raises(SystemExit) as exit_info:
+            main(load_args(graph_files) + extra)
+        assert exit_info.value.code == 2
+        assert "repro: error:" in capsys.readouterr().err
 
 
 class TestProfile:

@@ -119,3 +119,63 @@ class TestAnalytics:
         # Inclusion-chain views must come out chain-ordered.
         sizes = collection.view_sizes
         assert sizes == sorted(sizes) or sizes == sorted(sizes, reverse=True)
+
+
+class TestSingleExecutionPath:
+    """No surface accepts an execution-backend or sanitizer knob: the
+    inline engine with simulated workers is the only execution path."""
+
+    @pytest.mark.parametrize("construct", [
+        lambda: Graphsurge(workers=2, backend="inline"),
+        lambda: _executor(workers=2, backend="inline"),
+        lambda: _executor(workers=2, sanitize=True),
+        lambda: _dataflow(workers=2, backend="inline"),
+        lambda: _stream_engine(workers=2, backend="inline"),
+        lambda: _serve_session(workers=2, backend="inline"),
+        lambda: _resident(Wcc(), workers=2, backend="inline"),
+    ], ids=["Graphsurge", "AnalyticsExecutor-backend",
+            "AnalyticsExecutor-sanitize", "Dataflow", "StreamEngine",
+            "ServeSession", "ResidentDataflow"])
+    def test_backend_keywords_rejected(self, construct):
+        with pytest.raises(TypeError):
+            construct()
+
+    def test_run_analytics_rejects_sanitize(self, session):
+        session.execute("create view collection hist on Calls "
+                        "[a: year <= 2016], [b: year <= 2019]")
+        with pytest.raises(TypeError):
+            session.run_analytics(Wcc(), "hist", sanitize=True)
+
+    def test_analyze_rejects_concurrency(self, session):
+        with pytest.raises(TypeError):
+            session.analyze(Wcc(), concurrency=True)
+
+
+def _executor(**kwargs):
+    from repro.core.executor import AnalyticsExecutor
+
+    return AnalyticsExecutor(**kwargs)
+
+
+def _dataflow(**kwargs):
+    from repro.differential import Dataflow
+
+    return Dataflow(**kwargs)
+
+
+def _stream_engine(**kwargs):
+    from repro.stream import StreamEngine
+
+    return StreamEngine(**kwargs)
+
+
+def _serve_session(**kwargs):
+    from repro.serve.session import ServeSession
+
+    return ServeSession(**kwargs)
+
+
+def _resident(computation, **kwargs):
+    from repro.serve.session import ResidentDataflow
+
+    return ResidentDataflow(computation, **kwargs)

@@ -11,8 +11,8 @@ from repro.differential import Dataflow
 from repro.differential.trace import Trace
 
 
-def count_dataflow(workers=1, backend="inline"):
-    df = Dataflow(workers=workers, backend=backend)
+def count_dataflow(workers=1):
+    df = Dataflow(workers=workers)
     edges = df.new_input("edges")
     out = df.capture(edges.count_by_key(), "out")
     return df, out
@@ -94,26 +94,6 @@ class TestOperatorCompaction:
         # Further epochs still compute correctly off compacted history.
         df.step({"edges": {("k", 100): 1}})
         assert out.value_at_epoch(df.epoch) == {("k", 2): 1}
-
-    def test_process_backend_broadcast_shrinks_worker_state(self):
-        from repro.differential.debug import operator_record_counts
-
-        df, out = count_dataflow(workers=2, backend="process")
-        try:
-            for epoch in range(24):
-                df.step({"edges": {(epoch % 3, epoch): 1}})
-            reference = out.value_at_epoch(df.epoch)
-            grown = sum(operator_record_counts(df).values())
-            df.compact(df.epoch)
-            # The broadcast is fire-and-forget; stats() is the next
-            # synchronous exchange and observes the compacted traces.
-            compacted = sum(operator_record_counts(df).values())
-            assert compacted < grown
-            assert out.value_at_epoch(df.epoch) == reference
-            df.step({"edges": {(0, 99): 1}})
-            assert out.value_at_epoch(df.epoch)[(0, 9)] == 1
-        finally:
-            df.close()
 
     def test_iterative_dataflow_correct_after_compaction(self):
         # WCC-style propagation: compaction must fold loop histories per

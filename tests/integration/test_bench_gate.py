@@ -168,42 +168,6 @@ class TestHotpathSuite:
         assert baseline["backend"] == "inline"
         assert baseline["workers"] == 1
 
-    def test_process_backend_suite_matches_inline(self):
-        bench = _load_bench_hotpath()
-        from repro.bench.reporting import (
-            backend_speedup_rows,
-            compare_backend_payloads,
-            render_backend_comparison,
-        )
-
-        names = ["iterate_heavy", "collection_run_bfs"]
-        inline = bench.run_suite(scale=0.15, workers=2, backend="inline",
-                                 names=names)
-        process = bench.run_suite(scale=0.15, workers=2,
-                                  backend="process", names=names)
-        assert process["backend"] == "process"
-        assert compare_backend_payloads(inline, process) == []
-        rows = backend_speedup_rows(inline, process)
-        assert [row["scenario"] for row in rows] == names
-        rendered = render_backend_comparison(rows)
-        assert "speedup" in rendered and "iterate_heavy" in rendered
-
-    def test_backend_comparison_flags_divergence(self):
-        from repro.bench.reporting import compare_backend_payloads
-
-        inline = {"scenarios": {
-            "a": {"work": 10, "parallel_time": 5, "output_digest": "x"},
-            "b": {"work": 7, "parallel_time": 7, "output_digest": "y"}}}
-        process = {"scenarios": {
-            "a": {"work": 11, "parallel_time": 5, "output_digest": "x"},
-            "c": {"work": 1, "parallel_time": 1, "output_digest": "z"}}}
-        problems = compare_backend_payloads(inline, process)
-        assert any("a: work diverged" in problem for problem in problems)
-        assert any("b: missing from the process" in problem
-                   for problem in problems)
-        assert any("c: missing from the inline" in problem
-                   for problem in problems)
-
     def test_unknown_scenario_rejected(self):
         bench = _load_bench_hotpath()
         from repro.errors import ConfigError

@@ -37,7 +37,7 @@ class TestLookup:
         state, entry = cache.lookup("k", 1)
         assert state == "fresh"
         assert entry.value == {"v": 1}
-        assert cache.fills_for("k") == 2
+        assert entry.fills == 2
         assert cache.stats.fills == 2
 
 
@@ -56,14 +56,6 @@ class TestEviction:
     def test_capacity_validated(self):
         with pytest.raises(ConfigError):
             ResultCache(capacity=0)
-
-    def test_invalidate_all(self):
-        cache = ResultCache()
-        cache.store("a", 1, epoch=0)
-        cache.store("b", 2, epoch=0)
-        assert cache.invalidate_all() == 2
-        assert cache.lookup("a", 0) == ("miss", None)
-
 
 class TestSingleFlight:
     def test_lock_is_per_key_and_stable(self):

@@ -73,9 +73,7 @@ class TestDrainGate:
         assert lifecycle.shutdown_reason == "first"
 
     def test_shutdown_closes_resident_dataflows(self, app):
-        # With the process backend, residents hold live worker children;
-        # the daemon must tear them down on the clean path rather than
-        # leak them past exit (or hang multiprocessing's exit-time join).
+        # The clean shutdown path drops every resident dataflow.
         async def scenario():
             lifecycle = ServerLifecycle(app.session, app.admission,
                                         drain_timeout=1.0)

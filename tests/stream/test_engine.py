@@ -150,25 +150,6 @@ class TestCompaction:
             engine.close()
 
 
-class TestBackends:
-    def test_process_backend_matches_inline_per_epoch(self):
-        rows = {}
-        for backend in ("inline", "process"):
-            engine = wcc_engine(workers=2, backend=backend)
-            try:
-                observed = []
-                for batch in churn_batches(5, 8, num_nodes=8, churn=2,
-                                           base_edges=4):
-                    payload = engine.ingest(batch)
-                    row = payload["results"][WCC]
-                    observed.append((row["epoch"], row["output_delta"],
-                                     row["work"], row["parallel_time"]))
-                rows[backend] = observed
-            finally:
-                engine.close()
-        assert rows["inline"] == rows["process"]
-
-
 class TestDurability:
     def _stream(self, engine, batches):
         rows = []

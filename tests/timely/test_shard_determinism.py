@@ -1,12 +1,11 @@
 """Cross-process determinism of ``stable_hash`` / ``shard_for``.
 
-The process backend routes keys to forked workers by
+The work meter attributes every keyed record to a simulated worker by
 ``shard_for(key, W)``; if that assignment depended on Python's
-per-process hash salting, the coordinator and a fresh CLI process (or
-two CI runs) would disagree on key ownership and the backend's
-byte-identical-counters contract would silently break. These tests pin
-the hashes both in-process and across subprocesses launched with
-*different* ``PYTHONHASHSEED`` values.
+per-process hash salting, two runs (a test and a fresh CLI process, or
+two CI runs) would report different ``parallel_time`` for the same
+input. These tests pin the hashes both in-process and across
+subprocesses launched with *different* ``PYTHONHASHSEED`` values.
 """
 
 import os

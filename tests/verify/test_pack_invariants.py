@@ -3,8 +3,7 @@ scoring pack (labelprop, ppr, ktruss, score).
 
 The generic batteries in ``test_invariants.py`` exercise one
 representative algorithm; this file pins every pack member through the
-mode-equivalence, worker-invariance, inline-vs-process byte-equality,
-view-order permutation, kill/resume, and ``stream`` (streamed ≡
+mode-equivalence, worker-invariance, view-order permutation, kill/resume, and ``stream`` (streamed ≡
 from-scratch at every churn epoch) checks — plus a guard that the
 ``stream`` check is *live* for the pack, not vacuously passing because
 a name or parameter failed to register as a continuous query.
@@ -16,7 +15,6 @@ from repro.core.executor import ExecutionMode
 from repro.stream import StreamEngine
 from repro.verify.generator import random_churn_collection
 from repro.verify.invariants import (
-    check_backends,
     check_checkpoint,
     check_oracle,
     check_permutation,
@@ -56,11 +54,6 @@ class TestPackBattery:
         assert check_workers(collection, spec, params,
                              worker_counts=(1, 3)) is None
 
-    def test_inline_process_byte_equality(self, collection, pack):
-        spec, params = pack
-        assert check_backends(collection, spec, params,
-                              backends=("inline", "process")) is None
-
     def test_view_order_permutation(self, collection, pack):
         spec, params = pack
         assert check_permutation(collection, spec, params,
@@ -72,8 +65,7 @@ class TestPackBattery:
 
     def test_streamed_equals_scratch_every_epoch(self, collection, pack):
         spec, params = pack
-        assert check_stream(collection, spec, params,
-                            backends=("inline",)) is None
+        assert check_stream(collection, spec, params) is None
 
     def test_stream_check_is_live_not_vacuous(self, pack):
         # check_stream treats a failed registration as "not servable"

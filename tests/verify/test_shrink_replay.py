@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.algorithms import Wcc
-from repro.errors import StoreError
+from repro.core.resilience import CheckpointWriter, load_checkpoint
+from repro.errors import GraphsurgeError, StoreError
 from repro.verify.generator import random_churn_collection
 from repro.verify.invariants import build_check
 from repro.verify.oracles import AlgorithmSpec
@@ -15,6 +16,7 @@ from repro.verify.replay import (
     replay_repro,
     write_repro,
 )
+from repro.stream import StreamEngine, churn_batches
 from repro.verify.shrinker import _valid_stream, shrink
 
 #: An oracle that is wrong whenever vertex 1 has an outgoing edge — the
@@ -126,3 +128,84 @@ class TestReproFiles:
         path = write_repro(tmp_path / "m.json", repro)
         assert load_repro(path).params == {"pairs": [(0, 1), (2, 3)]}
         assert replay_repro(path) is None
+
+
+class TestFilesFromOlderVersions:
+    """Journals and repro files written while a multi-process backend
+    existed stay readable: the ``backend`` field is ignored and checks
+    that only compared backends fail with a typed error."""
+
+    def _repro(self, check):
+        collection = random_churn_collection(seed=4, num_views=3,
+                                             num_nodes=6, churn=3)
+        return ReproFile(seed=4, kind="churn", algorithm="wcc", params={},
+                         check=check, detail="", collection=collection)
+
+    @pytest.mark.parametrize("invariant", ["backend", "sanitize"])
+    def test_removed_invariant_raises_typed_error(self, tmp_path,
+                                                  invariant):
+        check = {"invariant": invariant, "backends": ["inline", "process"],
+                 "workers": 2}
+        path = write_repro(tmp_path / "r.json", self._repro(check))
+        with pytest.raises(GraphsurgeError,
+                           match=f"unknown invariant '{invariant}'"):
+            replay_repro(path)
+
+    def test_stream_repro_with_backends_list_replays(self, tmp_path):
+        check = {"invariant": "stream", "backends": ["inline", "process"],
+                 "workers": 2}
+        path = write_repro(tmp_path / "r.json", self._repro(check))
+        assert replay_repro(path) is None
+
+    def test_new_journals_do_not_record_backend(self, tmp_path):
+        engine = StreamEngine(workers=2)
+        try:
+            engine.register("wcc")
+            engine.attach_journal(tmp_path / "stream.ckpt")
+            assert "backend" not in engine.describe()
+        finally:
+            engine.close()
+        header = load_checkpoint(tmp_path / "stream.ckpt").header
+        assert header["workers"] == 2
+        assert "backend" not in header
+
+    def test_stream_journal_with_backend_header_resumes(self, tmp_path):
+        batches = churn_batches(3, 12, num_nodes=10, churn=3,
+                                base_edges=8)
+
+        def rows(engine):
+            return [(m.epoch, m.query, m.delta_records,
+                     m.output_delta_size, m.work, m.parallel_time)
+                    for m in engine.meter.epochs]
+
+        baseline = StreamEngine(workers=2)
+        try:
+            signature = baseline.register("wcc")
+            snapshots = []
+            for batch in batches:
+                baseline.ingest(batch)
+                snapshots.append(baseline.snapshot(signature))
+            expected_rows = rows(baseline)
+        finally:
+            baseline.close()
+
+        journal = tmp_path / "stream.ckpt"
+        writer = CheckpointWriter.fresh(journal, {
+            "kind": StreamEngine.JOURNAL_KIND, "queries": [["wcc", {}]],
+            "workers": 2, "backend": "process", "weight_property": None,
+            "compact_every": 8, "keep_epochs": 4})
+        for index, batch in enumerate(batches[:7]):
+            writer.append_view(dict(batch.to_record(), index=index,
+                                    view_name=f"epoch-{index + 1}"))
+        writer.close()
+
+        resumed = StreamEngine.resume(journal)
+        try:
+            assert resumed.epoch == 7
+            assert resumed.snapshot(signature) == snapshots[6]
+            for batch, want in zip(batches[7:], snapshots[7:]):
+                resumed.ingest(batch)
+                assert resumed.snapshot(signature) == want
+            assert rows(resumed) == expected_rows
+        finally:
+            resumed.close()
