@@ -4,7 +4,11 @@ import pytest
 
 from repro import ExecutionMode, Graphsurge
 from repro.algorithms import Wcc
+from repro.core.executor import AnalyticsExecutor
+from repro.differential import Dataflow
 from repro.errors import StoreError, UnknownGraphError
+from repro.serve.session import ResidentDataflow, ServeSession
+from repro.stream import StreamEngine
 
 
 @pytest.fixture
@@ -127,12 +131,12 @@ class TestSingleExecutionPath:
 
     @pytest.mark.parametrize("construct", [
         lambda: Graphsurge(workers=2, backend="inline"),
-        lambda: _executor(workers=2, backend="inline"),
-        lambda: _executor(workers=2, sanitize=True),
-        lambda: _dataflow(workers=2, backend="inline"),
-        lambda: _stream_engine(workers=2, backend="inline"),
-        lambda: _serve_session(workers=2, backend="inline"),
-        lambda: _resident(Wcc(), workers=2, backend="inline"),
+        lambda: AnalyticsExecutor(workers=2, backend="inline"),
+        lambda: AnalyticsExecutor(workers=2, sanitize=True),
+        lambda: Dataflow(workers=2, backend="inline"),
+        lambda: StreamEngine(workers=2, backend="inline"),
+        lambda: ServeSession(workers=2, backend="inline"),
+        lambda: ResidentDataflow(Wcc(), workers=2, backend="inline"),
     ], ids=["Graphsurge", "AnalyticsExecutor-backend",
             "AnalyticsExecutor-sanitize", "Dataflow", "StreamEngine",
             "ServeSession", "ResidentDataflow"])
@@ -149,33 +153,3 @@ class TestSingleExecutionPath:
     def test_analyze_rejects_concurrency(self, session):
         with pytest.raises(TypeError):
             session.analyze(Wcc(), concurrency=True)
-
-
-def _executor(**kwargs):
-    from repro.core.executor import AnalyticsExecutor
-
-    return AnalyticsExecutor(**kwargs)
-
-
-def _dataflow(**kwargs):
-    from repro.differential import Dataflow
-
-    return Dataflow(**kwargs)
-
-
-def _stream_engine(**kwargs):
-    from repro.stream import StreamEngine
-
-    return StreamEngine(**kwargs)
-
-
-def _serve_session(**kwargs):
-    from repro.serve.session import ServeSession
-
-    return ServeSession(**kwargs)
-
-
-def _resident(computation, **kwargs):
-    from repro.serve.session import ResidentDataflow
-
-    return ResidentDataflow(computation, **kwargs)
